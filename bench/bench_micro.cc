@@ -2,7 +2,8 @@
  * @file
  * google-benchmark microbenchmarks of the core primitives: LLC
  * simulator accesses under different CAT masks, B-tree operations,
- * Zipf sampling, the discrete-event kernel, and executor operators.
+ * Zipf sampling, and executor operators. The event loop and core
+ * scheduler are measured by perfbench's probe cases instead.
  * These measure the *host* cost of the simulator itself (useful when
  * sizing sweeps), not simulated performance.
  */
@@ -13,8 +14,6 @@
 #include "engine/database.h"
 #include "exec/executor.h"
 #include "hw/llc_sim.h"
-#include "sim/core_scheduler.h"
-#include "sim/event_loop.h"
 #include "storage/btree.h"
 
 namespace dbsens {
@@ -77,42 +76,6 @@ BM_ZipfSample(benchmark::State &state)
     state.SetItemsProcessed(int64_t(state.iterations()));
 }
 BENCHMARK(BM_ZipfSample);
-
-void
-BM_EventLoopDispatch(benchmark::State &state)
-{
-    for (auto _ : state) {
-        state.PauseTiming();
-        EventLoop loop;
-        int fired = 0;
-        for (int i = 0; i < 10000; ++i)
-            loop.at(i, [&] { ++fired; });
-        state.ResumeTiming();
-        loop.run();
-        benchmark::DoNotOptimize(fired);
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) * 10000);
-}
-BENCHMARK(BM_EventLoopDispatch);
-
-void
-BM_CoroutineSessions(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventLoop loop;
-        CoreScheduler cpu(loop);
-        cpu.setAllowedCores(8);
-        auto session = [&]() -> Task<void> {
-            for (int i = 0; i < 100; ++i)
-                co_await cpu.consume(CpuWork{100, 0, 0});
-        };
-        for (int s = 0; s < 32; ++s)
-            loop.spawn(session());
-        loop.run();
-    }
-    state.SetItemsProcessed(int64_t(state.iterations()) * 3200);
-}
-BENCHMARK(BM_CoroutineSessions);
 
 void
 BM_HashJoinExec(benchmark::State &state)

@@ -94,7 +94,8 @@ struct RunConfig
     /**
      * Online audit callback, invoked by the harness at the end of
      * each run phase while the server is still alive (`phase` counts
-     * from 0 across crash segments). Null ⇒ no auditing.
+     * from 0 across crash segments; a TPC-H run is one phase, 0).
+     * Null ⇒ no auditing.
      */
     std::function<void(SimRun &, int)> phaseAudit;
     /** Fault-injection regime (disabled ⇒ byte-identical runs). */

@@ -152,6 +152,8 @@ TpchDriver::runStreams(const RunConfig &cfg, int streams)
         run.loop.spawn(streamSession(run, maxdop, miss,
                                      cfg.seed ^ (uint64_t(s) << 8)));
     run.runToCompletion();
+    if (cfg.phaseAudit)
+        cfg.phaseAudit(run, 0);
 
     TpchRunResult res;
     const double paper_seconds =
@@ -199,6 +201,8 @@ TpchDriver::runSingleQuery(int q, const RunConfig &cfg)
     };
     run.loop.spawn(wrapper());
     run.loop.run();
+    if (cfg.phaseAudit)
+        cfg.phaseAudit(run, 0);
     return double(done);
 }
 

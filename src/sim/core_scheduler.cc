@@ -1,5 +1,7 @@
 #include "sim/core_scheduler.h"
 
+#include <initializer_list>
+
 #include "core/logging.h"
 #include "sim/dram_model.h"
 
@@ -19,6 +21,37 @@ socketOfIndex(int core)
     return (core % (2 * per_socket)) / per_socket;
 }
 
+static_assert(calib::kLogicalCores == 32 && calib::kSockets == 2 &&
+                  calib::kPhysCoresPerSocket == 8,
+              "core masks assume 2 sockets x 8 cores x 2 SMT threads");
+
+/** Logical cores of each socket in allocation order. */
+constexpr uint32_t kSocketCores[2] = {0x00FF00FFu, 0xFF00FF00u};
+
+/** The first `n` logical cores, n in [1, 32]. */
+uint32_t
+prefixMask(int n)
+{
+    return n >= 32 ? ~uint32_t(0) : (uint32_t(1) << n) - 1;
+}
+
+/** Bit c set when core c's SMT sibling (c +- 16) is set in `m`. */
+uint32_t
+siblingsOf(uint32_t m)
+{
+    return m << 16 | m >> 16;
+}
+
+/** Lowest set bit of the first nonzero mask, else -1. */
+int
+lowestOfFirst(std::initializer_list<uint32_t> masks)
+{
+    for (uint32_t m : masks)
+        if (m)
+            return __builtin_ctz(m);
+    return -1;
+}
+
 } // namespace
 
 /** Awaitable that grants a free logical core, queueing FIFO if none. */
@@ -35,8 +68,7 @@ class CoreAcquire
     {
         const int core = sched.pickFreeCoreFor(waiter.tenant);
         if (core >= 0) {
-            sched.cores_[core].busy = true;
-            ++sched.busyCount_;
+            sched.takeCore(core);
             waiter.grantedCore = core;
             return true;
         }
@@ -93,20 +125,10 @@ CoreScheduler::siblingOf(int core)
 }
 
 int
-CoreScheduler::pickFreeCore() const
+CoreScheduler::pickFreeCore(uint32_t busy, int allowed)
 {
-    int fallback = -1;
-    for (int c = 0; c < allowed_; ++c) {
-        if (cores_[c].busy)
-            continue;
-        const int sib = siblingOf(c);
-        const bool sib_busy = sib < int(cores_.size()) && cores_[sib].busy;
-        if (!sib_busy)
-            return c; // prefer an idle physical core
-        if (fallback < 0)
-            fallback = c;
-    }
-    return fallback;
+    const uint32_t free = ~busy & prefixMask(allowed);
+    return lowestOfFirst({free & ~siblingsOf(busy), free});
 }
 
 void
@@ -150,51 +172,45 @@ CoreScheduler::tenantBusyNs(int tenant) const
 int
 CoreScheduler::pickFreeCoreFor(int tenant) const
 {
-    if (tenant < 0 || tenant >= kMaxTenants ||
-        tenantMask_[tenant] == 0)
-        return pickFreeCore();
-    const uint64_t mask = tenantMask_[tenant];
+    const uint64_t lease =
+        tenant >= 0 && tenant < kMaxTenants ? tenantMask_[tenant] : 0;
+    return pickFreeCoreFor(busyMask_, allowed_, lease);
+}
+
+int
+CoreScheduler::pickFreeCoreFor(uint32_t busy, int allowed,
+                               uint64_t lease)
+{
+    if (lease == 0)
+        return pickFreeCore(busy, allowed);
+    const uint32_t leased = uint32_t(lease); // cores >= 32 do not exist
 
     // Hardware-islands placement ("OLTP on Hardware Islands"): keep
     // the tenant on the socket it already occupies, filling that
     // socket's physical cores, then its SMT threads, before crossing
     // sockets. Preferred socket = most busy leased cores there, then
     // most leased cores, then socket 0.
-    int busy[2] = {0, 0};
-    int leased[2] = {0, 0};
-    for (int c = 0; c < int(cores_.size()); ++c) {
-        if (!(mask >> c & 1))
-            continue;
-        ++leased[socketOf(c)];
-        if (cores_[c].busy)
-            ++busy[socketOf(c)];
+    int busy_on[2] = {0, 0};
+    int leased_on[2] = {0, 0};
+    for (int s = 0; s < 2; ++s) {
+        busy_on[s] = __builtin_popcount(leased & busy & kSocketCores[s]);
+        leased_on[s] = __builtin_popcount(leased & kSocketCores[s]);
     }
     int pref = 0;
-    if (busy[0] != busy[1])
-        pref = busy[0] > busy[1] ? 0 : 1;
-    else if (leased[0] != leased[1])
-        pref = leased[0] > leased[1] ? 0 : 1;
+    if (busy_on[0] != busy_on[1])
+        pref = busy_on[0] > busy_on[1] ? 0 : 1;
+    else if (leased_on[0] != leased_on[1])
+        pref = leased_on[0] > leased_on[1] ? 0 : 1;
 
-    int best = -1;
-    int best_rank = 4;
-    for (int c = 0; c < allowed_; ++c) {
-        if (!(mask >> c & 1) || cores_[c].busy)
-            continue;
-        const int sib = siblingOf(c);
-        const bool sib_busy =
-            sib < int(cores_.size()) && cores_[sib].busy;
-        // 0: preferred socket, idle sibling   (physical core)
-        // 1: preferred socket, busy sibling   (SMT thread)
-        // 2: other socket, idle sibling       (cross-socket)
-        // 3: other socket, busy sibling
-        const int rank =
-            (socketOf(c) == pref ? 0 : 2) + (sib_busy ? 1 : 0);
-        if (rank < best_rank) {
-            best_rank = rank;
-            best = c;
-        }
-    }
-    return best;
+    // Rank order: preferred socket with an idle sibling (physical
+    // core), preferred socket's SMT threads, then the other socket in
+    // the same order; the lowest core wins within a rank.
+    const uint32_t free = leased & ~busy & prefixMask(allowed);
+    const uint32_t home = kSocketCores[pref];
+    const uint32_t sib_busy = siblingsOf(busy);
+    return lowestOfFirst({free & home & ~sib_busy, free & home & sib_busy,
+                          free & ~home & ~sib_busy,
+                          free & ~home & sib_busy});
 }
 
 double
@@ -203,7 +219,7 @@ CoreScheduler::burstDurationNs(int core, const CpuWork &work,
 {
     double dur = work.totalNs();
     const int sib = siblingOf(core);
-    if (sib < int(cores_.size()) && cores_[sib].busy) {
+    if (coreBusy(sib)) {
         const double avg_stall =
             0.5 * (work.stallFraction() + cores_[sib].stallFraction);
         const double combined = calib::smtCombinedThroughput(avg_stall);
@@ -254,8 +270,7 @@ CoreScheduler::consume(CpuWork work)
 void
 CoreScheduler::releaseCore(int core)
 {
-    cores_[core].busy = false;
-    --busyCount_;
+    busyMask_ &= ~(uint32_t(1) << core);
     pumpWaiters();
 }
 
@@ -277,8 +292,7 @@ CoreScheduler::pumpWaiters()
             ++it;
             continue;
         }
-        cores_[core].busy = true;
-        ++busyCount_;
+        takeCore(core);
         w->grantedCore = core;
         it = waiters_.erase(it);
         loop_.post(w->handle);

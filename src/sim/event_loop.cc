@@ -17,21 +17,44 @@ TaskPromiseBase::notifyRootDone(std::coroutine_handle<> h) noexcept
 
 EventLoop::~EventLoop()
 {
-    reclaimFinished();
     // Any still-pending root tasks leak their frames intentionally:
-    // destroying a suspended-but-not-finished coroutine from here is
-    // safe, but events in the queue may hold handles into them, so we
-    // simply drop the queue first.
-    while (!queue_.empty())
-        queue_.pop();
+    // queued entries may hold handles into them. Queued callbacks are
+    // destroyed with the slab.
+    reclaimFinished();
+}
+
+void
+EventLoop::push(SimTime t, std::coroutine_handle<> h, uint32_t slot)
+{
+    if (t < now_)
+        panic("EventLoop::at scheduling into the past");
+    const Entry e{t, seq_++, h, currentDomain_, slot};
+    if (t == now_)
+        lane_.push_back(e);
+    else
+        heap_.push(e);
 }
 
 void
 EventLoop::at(SimTime t, std::function<void()> fn)
 {
-    if (t < now_)
-        panic("EventLoop::at scheduling into the past");
-    queue_.push(Event{t, seq_++, currentDomain_, std::move(fn)});
+    if (freeSlots_.empty()) {
+        freeSlots_.push_back(uint32_t(callbacks_.size()));
+        callbacks_.emplace_back();
+    }
+    const uint32_t slot = freeSlots_.back();
+    freeSlots_.pop_back();
+    callbacks_[slot] = std::move(fn);
+    push(t, nullptr, slot);
+}
+
+std::function<void()>
+EventLoop::takeCallback(uint32_t slot)
+{
+    std::function<void()> fn = std::move(callbacks_[slot]);
+    callbacks_[slot] = nullptr;
+    freeSlots_.push_back(slot);
+    return fn;
 }
 
 void
@@ -45,16 +68,13 @@ EventLoop::killDomain(DomainId d)
 void
 EventLoop::post(std::coroutine_handle<> h)
 {
-    postAt(now_, h);
+    push(now_, h, 0);
 }
 
 void
 EventLoop::postAt(SimTime t, std::coroutine_handle<> h)
 {
-    at(t, [this, h] {
-        h.resume();
-        reclaimFinished();
-    });
+    push(t, h, 0);
 }
 
 void
@@ -85,21 +105,46 @@ EventLoop::reclaimFinished()
     finished_.clear();
 }
 
+EventLoop::Entry
+EventLoop::pop()
+{
+    if (!laneFirst()) {
+        const Entry e = heap_.top();
+        heap_.pop();
+        return e;
+    }
+    const Entry e = lane_[laneHead_++];
+    if (laneHead_ == lane_.size()) {
+        lane_.clear();
+        laneHead_ = 0;
+    }
+    return e;
+}
+
 void
 EventLoop::dispatchOne()
 {
-    Event ev = std::move(const_cast<Event &>(queue_.top()));
-    queue_.pop();
+    const Entry ev = pop();
     if (!domainAlive(ev.domain)) {
         // The event belongs to a killed incarnation: drop it without
-        // resuming (the frame it holds leaks, as in ~EventLoop).
+        // resuming (the frame it holds leaks, as in ~EventLoop) and
+        // destroy a dropped callback's captures now.
+        if (!ev.handle)
+            takeCallback(ev.slot);
         return;
     }
     now_ = ev.time;
     ++dispatched_;
     const DomainId prev = currentDomain_;
     currentDomain_ = ev.domain;
-    ev.fn();
+    if (ev.handle) {
+        ev.handle.resume();
+        reclaimFinished();
+    } else {
+        // Moved out first: the callback may schedule more callbacks,
+        // which can reuse its slot or grow the slab.
+        takeCallback(ev.slot)();
+    }
     currentDomain_ = prev;
 }
 
@@ -107,7 +152,7 @@ void
 EventLoop::run()
 {
     stopped_ = false;
-    while (!queue_.empty() && !stopped_)
+    while (!empty() && !stopped_)
         dispatchOne();
     reclaimFinished();
 }
@@ -116,7 +161,8 @@ void
 EventLoop::runUntil(SimTime t)
 {
     stopped_ = false;
-    while (!queue_.empty() && !stopped_ && queue_.top().time <= t)
+    while (!empty() && !stopped_ &&
+           (laneFirst() ? lane_[laneHead_] : heap_.top()).time <= t)
         dispatchOne();
     reclaimFinished();
     if (!stopped_ && now_ < t)

@@ -6,6 +6,11 @@
  * nanoseconds. All cross-session resumptions are posted through the
  * queue (never resumed inline), which keeps stack depth bounded and
  * event ordering deterministic (FIFO among same-time events).
+ *
+ * Queue entries are small trivially copyable records ordered by
+ * (time, seq). A coroutine resumption (the common case) stores the
+ * raw handle; a callback lives in a side slab the entry indexes, so
+ * the heap never moves a std::function.
  */
 
 #ifndef DBSENS_SIM_EVENT_LOOP_H
@@ -120,24 +125,62 @@ class EventLoop
     void rootTaskDone(std::coroutine_handle<> h);
 
   private:
-    struct Event
+    /**
+     * One queued event: a coroutine resumption when `handle` is set,
+     * else the callback in `callbacks_[slot]`. `seq` is unique, so
+     * (time, seq) is a total order and any heap pops the same
+     * sequence.
+     */
+    struct Entry
     {
         SimTime time;
         uint64_t seq;
+        std::coroutine_handle<> handle;
         DomainId domain;
-        std::function<void()> fn;
+        uint32_t slot;
+    };
 
+    struct Later
+    {
         bool
-        operator>(const Event &o) const
+        operator()(const Entry &a, const Entry &b) const
         {
-            return time != o.time ? time > o.time : seq > o.seq;
+            return a.time != b.time ? a.time > b.time : a.seq > b.seq;
         }
     };
 
+    void push(SimTime t, std::coroutine_handle<> h, uint32_t slot);
+    bool
+    empty() const
+    {
+        return heap_.empty() && laneHead_ == lane_.size();
+    }
+    /** True when the (time, seq)-least entry is the lane's front. */
+    bool
+    laneFirst() const
+    {
+        return laneHead_ != lane_.size() &&
+               (heap_.empty() || Later{}(heap_.top(), lane_[laneHead_]));
+    }
+    /** Remove and return the (time, seq)-least entry (non-empty). */
+    Entry pop();
+    /** Move a callback out of its slab slot and free the slot. */
+    std::function<void()> takeCallback(uint32_t slot);
     void dispatchOne();
     void reclaimFinished();
 
-    std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+    /**
+     * Entries due when they are posted (post, spawn, at(now())) skip
+     * the heap: they arrive in (time, seq) order, so this FIFO lane
+     * stays sorted and the next entry is the lesser of its front and
+     * the heap's top.
+     */
+    std::vector<Entry> lane_;
+    size_t laneHead_ = 0;
+    std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+    /** Callback slab: slots of queued at()/after() callbacks. */
+    std::vector<std::function<void()>> callbacks_;
+    std::vector<uint32_t> freeSlots_;
     std::vector<std::coroutine_handle<>> finished_;
     std::unordered_set<DomainId> deadDomains_;
     SimTime now_ = 0;

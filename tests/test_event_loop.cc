@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <random>
 #include <vector>
 
 #include "sim/core_scheduler.h"
@@ -122,6 +125,117 @@ TEST(Task, ZeroDelayDoesNotSuspend)
     loop.run();
     EXPECT_TRUE(ran);
     EXPECT_EQ(loop.now(), 0);
+}
+
+/** Awaitable that suspends and hands its handle to the test. */
+struct Park
+{
+    std::coroutine_handle<> &slot;
+
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) { slot = h; }
+    void await_resume() const noexcept {}
+};
+
+/** A root task that parks once, then records `id` when resumed. */
+Task<void>
+parkThenRecord(std::coroutine_handle<> &slot, std::vector<int> &order,
+               int id)
+{
+    co_await Park{slot};
+    order.push_back(id);
+}
+
+TEST(EventLoop, ResumptionsAndCallbacksAtOneTimeRunInPostOrder)
+{
+    EventLoop loop;
+    std::vector<int> order;
+    std::vector<std::coroutine_handle<>> parked(20);
+    for (int i = 0; i < 20; i += 2)
+        loop.spawn(parkThenRecord(parked[size_t(i)], order, i));
+    loop.run();
+    ASSERT_TRUE(order.empty());
+
+    // Alternate the two kinds, first at the current time, then at a
+    // later one.
+    for (int i = 0; i < 10; ++i) {
+        if (i % 2 == 0)
+            loop.post(parked[size_t(i)]);
+        else
+            loop.at(loop.now(), [&order, i] { order.push_back(i); });
+    }
+    for (int i = 10; i < 20; ++i) {
+        if (i % 2 == 0)
+            loop.postAt(50, parked[size_t(i)]);
+        else
+            loop.at(50, [&order, i] { order.push_back(i); });
+    }
+    loop.run();
+    std::vector<int> expected(20);
+    for (int i = 0; i < 20; ++i)
+        expected[size_t(i)] = i;
+    EXPECT_EQ(order, expected);
+    EXPECT_EQ(loop.activeTasks(), 0);
+}
+
+TEST(EventLoop, RunUntilLeavesLaterResumptionsAndCallbacksQueued)
+{
+    EventLoop loop;
+    std::vector<int> order;
+    std::coroutine_handle<> parked;
+    loop.spawn(parkThenRecord(parked, order, 1));
+    loop.run();
+    loop.postAt(200, parked);
+    loop.at(200, [&] { order.push_back(2); });
+    loop.at(100, [&] { order.push_back(0); });
+    loop.runUntil(150);
+    EXPECT_EQ(order, (std::vector<int>{0}));
+    EXPECT_EQ(loop.now(), 150);
+    loop.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+    EXPECT_EQ(loop.now(), 200);
+}
+
+TEST(EventLoop, KillDomainDropsBothKindsAndFreesCallbacks)
+{
+    EventLoop loop;
+    std::vector<int> order;
+    std::coroutine_handle<> parked;
+    loop.spawn(parkThenRecord(parked, order, 1));
+    loop.run();
+
+    auto capture = std::make_shared<int>(0);
+    const DomainId d = loop.newDomain();
+    {
+        DomainScope scope(loop, d);
+        loop.postAt(10, parked);
+        loop.at(10, [&order, capture] { order.push_back(2); });
+    }
+    loop.at(20, [&] { order.push_back(3); });
+    EXPECT_EQ(capture.use_count(), 2);
+    loop.killDomain(d);
+    EXPECT_FALSE(loop.domainAlive(d));
+    {
+        // Work scheduled into a dead domain is dropped too.
+        DomainScope scope(loop, d);
+        loop.at(15, [&order, capture] { order.push_back(4); });
+    }
+    const uint64_t before = loop.eventsDispatched();
+    loop.run();
+    EXPECT_EQ(order, (std::vector<int>{3}));
+    EXPECT_EQ(loop.eventsDispatched() - before, 1u);
+    EXPECT_EQ(capture.use_count(), 1);
+    EXPECT_EQ(loop.activeTasks(), 1);
+    parked.destroy(); // never resumed: reclaim the frame here
+}
+
+TEST(EventLoopDeathTest, SchedulingIntoThePastPanics)
+{
+    EventLoop loop;
+    loop.at(10, [] {});
+    loop.run();
+    EXPECT_DEATH(loop.at(5, [] {}), "into the past");
+    EXPECT_DEATH(loop.postAt(5, std::noop_coroutine()), "into the past");
 }
 
 TEST(CoreScheduler, SingleCoreSerializesBursts)
@@ -260,6 +374,104 @@ TEST(CoreScheduler, TopologyMapping)
     EXPECT_EQ(CoreScheduler::siblingOf(15), 31);
     EXPECT_EQ(CoreScheduler::physicalOf(16), 0);
     EXPECT_EQ(CoreScheduler::physicalOf(31), 15);
+}
+
+/**
+ * The core-pick scans as they were before the pick rules became mask
+ * operations: the reference the mask picks are checked against.
+ */
+int
+scanPickFreeCore(uint32_t busy, int allowed)
+{
+    auto busy_at = [busy](int c) { return (busy >> c & 1) != 0; };
+    int fallback = -1;
+    for (int c = 0; c < allowed; ++c) {
+        if (busy_at(c))
+            continue;
+        if (!busy_at(CoreScheduler::siblingOf(c)))
+            return c;
+        if (fallback < 0)
+            fallback = c;
+    }
+    return fallback;
+}
+
+int
+scanPickFreeCoreFor(uint32_t busy, int allowed, uint64_t mask)
+{
+    if (mask == 0)
+        return scanPickFreeCore(busy, allowed);
+    auto busy_at = [busy](int c) { return (busy >> c & 1) != 0; };
+    int busy_on[2] = {0, 0};
+    int leased[2] = {0, 0};
+    for (int c = 0; c < 32; ++c) {
+        if (!(mask >> c & 1))
+            continue;
+        ++leased[CoreScheduler::socketOf(c)];
+        if (busy_at(c))
+            ++busy_on[CoreScheduler::socketOf(c)];
+    }
+    int pref = 0;
+    if (busy_on[0] != busy_on[1])
+        pref = busy_on[0] > busy_on[1] ? 0 : 1;
+    else if (leased[0] != leased[1])
+        pref = leased[0] > leased[1] ? 0 : 1;
+    int best = -1;
+    int best_rank = 4;
+    for (int c = 0; c < allowed; ++c) {
+        if (!(mask >> c & 1) || busy_at(c))
+            continue;
+        const bool sib_busy = busy_at(CoreScheduler::siblingOf(c));
+        const int rank = (CoreScheduler::socketOf(c) == pref ? 0 : 2) +
+                         (sib_busy ? 1 : 0);
+        if (rank < best_rank) {
+            best_rank = rank;
+            best = c;
+        }
+    }
+    return best;
+}
+
+TEST(CoreScheduler, MaskPicksMatchReferenceScans)
+{
+    std::mt19937_64 rng(12);
+    // Random subset of `bits` in which each bit is set w.p. p/8.
+    auto draw = [&rng](uint64_t bits, int p) {
+        uint64_t m = 0;
+        for (int b = 0; b < 64; ++b)
+            if ((bits >> b & 1) && int(rng() % 8) < p)
+                m |= uint64_t(1) << b;
+        return m;
+    };
+    int checked = 0;
+    for (int allowed = 1; allowed <= 32; ++allowed) {
+        for (int i = 0; i < 400; ++i) {
+            const int density = int(i % 9);
+            // Even draws busy single threads, so free cores may have a
+            // busy sibling; odd draws busy whole physical cores, so no
+            // free core has one.
+            const uint32_t pairs = uint32_t(draw(0xFFFFu, density));
+            const uint32_t busy = i % 2
+                                      ? pairs | pairs << 16
+                                      : uint32_t(draw(0xFFFFFFFFu, density));
+            ASSERT_EQ(CoreScheduler::pickFreeCore(busy, allowed),
+                      scanPickFreeCore(busy, allowed))
+                << "busy=" << busy << " allowed=" << allowed;
+            // Leases: none, a random subset of the cores, random
+            // 64-bit words, and one naming only cores that do not exist.
+            for (uint64_t lease :
+                 {uint64_t(0), draw(0xFFFFFFFFu, int(rng() % 9)),
+                  draw(~uint64_t(0), int(rng() % 9)), uint64_t(1) << 40}) {
+                ASSERT_EQ(
+                    CoreScheduler::pickFreeCoreFor(busy, allowed, lease),
+                    scanPickFreeCoreFor(busy, allowed, lease))
+                    << "busy=" << busy << " allowed=" << allowed
+                    << " lease=" << lease;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 32 * 400 * 4);
 }
 
 TEST(SsdModel, BandwidthLimitsTransferTime)

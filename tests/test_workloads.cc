@@ -222,5 +222,29 @@ TEST(TpchDriverTest, SingleQueryDurationDropsWithMaxdop)
     EXPECT_LE(t16, t1);
 }
 
+TEST(TpchDriverTest, PhaseAuditFiresOncePerRunWhileRunIsAlive)
+{
+    TpchDriver driver(2);
+    RunConfig cfg;
+    cfg.duration = fromSeconds(0.02);
+    cfg.cores = 4;
+    cfg.maxdop = 4;
+    int calls = 0;
+    uint64_t events = 0;
+    cfg.phaseAudit = [&](SimRun &run, int phase) {
+        ++calls;
+        EXPECT_EQ(phase, 0);
+        events = run.loop.eventsDispatched();
+    };
+    driver.runStreams(cfg, 2);
+    EXPECT_EQ(calls, 1);
+    EXPECT_GT(events, 0u);
+
+    events = 0;
+    driver.runSingleQuery(6, cfg);
+    EXPECT_EQ(calls, 2);
+    EXPECT_GT(events, 0u);
+}
+
 } // namespace
 } // namespace dbsens
