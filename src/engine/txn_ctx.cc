@@ -94,8 +94,7 @@ TxnCtx::seekRow(Database::Table &t, const std::string &index_col,
     std::vector<uint64_t> addrs;
     tree->cacheTouches(double(uint64_t(key) % span) / double(span),
                        addrs);
-    for (uint64_t a : addrs)
-        run_.feed.touch(a);
+    run_.feed.touchBatch(addrs.data(), int(addrs.size()));
 
     // Fix index pages (I/O if cold), then lock the row, then its page.
     if (run_.sketch)

@@ -101,15 +101,17 @@ class Executor
     touch(uint64_t addr, OpProfile &op)
     {
         if (ctx_.feed) {
-            ctx_.feed->touch(addr);
+            // One batch: the data line, then the buffer lines.
+            uint64_t addrs[1 + kWorkBufTouchesPerData] = {addr};
+            int n = 1;
             if (workBuf_.valid()) {
-                for (int i = 0; i < kWorkBufTouchesPerData; ++i) {
+                for (; n <= kWorkBufTouchesPerData; ++n) {
                     // Cubic skew: a few MB of the buffer are hot.
                     double f = ctx_.rng.uniformReal();
-                    ctx_.feed->touch(
-                        workBuf_.fractionAddr(f * f * f));
+                    addrs[n] = workBuf_.fractionAddr(f * f * f);
                 }
             }
+            ctx_.feed->touchBatch(addrs, n);
         }
         op.cacheTouches += 1 + (workBuf_.valid()
                                     ? kWorkBufTouchesPerData

@@ -35,6 +35,14 @@ class CacheFeed
     /** Emit one sampled access at a full-scale virtual address. */
     virtual void touch(uint64_t addr) = 0;
 
+    /** Emit `n` sampled accesses, in array order. */
+    virtual void
+    touchBatch(const uint64_t *addrs, int n)
+    {
+        for (int i = 0; i < n; ++i)
+            touch(addrs[i]);
+    }
+
     /** Cumulative sampled accesses emitted. */
     virtual uint64_t accesses() const = 0;
 
@@ -80,6 +88,20 @@ class LiveCacheFeed : public CacheFeed
         ++accesses_;
         if (!llc_.access(socketOfAddr(addr), addr, cos_))
             ++misses_;
+    }
+
+    /**
+     * Prefetch every address's set first, then run the accesses in
+     * order: the host memory loads overlap while the simulated access
+     * sequence stays exactly that of `n` touch() calls.
+     */
+    void
+    touchBatch(const uint64_t *addrs, int n) override
+    {
+        for (int i = 0; i < n; ++i)
+            llc_.prefetch(socketOfAddr(addrs[i]), addrs[i]);
+        for (int i = 0; i < n; ++i)
+            LiveCacheFeed::touch(addrs[i]);
     }
 
     uint64_t accesses() const override { return accesses_; }

@@ -14,6 +14,7 @@
 #ifndef DBSENS_HW_LLC_SIM_H
 #define DBSENS_HW_LLC_SIM_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -65,7 +66,8 @@ class LlcSim
     /**
      * Simulate one line access on a socket under a COS. Returns true
      * on hit. Misses allocate into the LRU way among the COS's
-     * allowed ways.
+     * allowed ways. Tags are 32 bits: fatal() if `addr >> 20` does
+     * not fit below the empty-way tag 0xFFFFFFFF (addr >= ~2^52).
      */
     bool access(int socket, uint64_t addr, int cos = 0);
 
@@ -91,18 +93,50 @@ class LlcSim
      */
     static constexpr uint64_t kInsertAge = 1u << 20;
 
-  private:
-    struct Way
+    /**
+     * Prefetch the host memory of the set `addr` maps to on `socket`.
+     * A hint only: it changes no simulated state, so issuing it ahead
+     * of a run of accesses lets their host cache misses overlap.
+     */
+    void
+    prefetch(int socket, uint64_t addr) const
     {
-        uint64_t tag = ~uint64_t{0};
+        const Set &set = sockets_[socket & 1].sets[setIndex(addr)];
+        // The first and last tag: every host line the hit check reads.
+        __builtin_prefetch(set.tag, 1);
+        __builtin_prefetch(set.tag + kWays - 1, 1);
+    }
+
+  private:
+    /**
+     * One set as one host block: the ways' tags side by side (so a hit
+     * check is a few 16-byte compares), then their LRU timestamps.
+     * Padded to 320 B (20 ways x 16 B), so each socket's table is one
+     * plain 5.24 MB allocation; other shapes raised peak RSS
+     * (DESIGN.md section 18).
+     */
+    struct Set
+    {
+        /** `addr >> 20`; kEmptyTag marks an empty way. */
+        uint32_t tag[kWays];
         /** Signed so aged insertion stays ordered from clock zero;
-         * empty ways are the most-preferred victims. */
-        int64_t lastUse = INT64_MIN;
+         * empty ways (INT64_MIN) are the most-preferred victims. */
+        int64_t lastUse[kWays];
+        uint8_t pad[320 - kWays * (sizeof(uint32_t) + sizeof(int64_t))];
     };
+    static_assert(sizeof(Set) == 320, "set block must stay 320 B");
+
+    static constexpr uint32_t kEmptyTag = ~0u;
+
+    static size_t
+    setIndex(uint64_t addr)
+    {
+        return size_t(addr / kCacheLineSize) % kSets;
+    }
 
     struct SocketCache
     {
-        std::vector<Way> ways; // kSets * kWays, row-major by set
+        std::vector<Set> sets; // kSets blocks
     };
 
     SocketCache sockets_[calib::kSockets];

@@ -1,10 +1,14 @@
 /**
  * @file
  * Unit and property tests for the CAT-capable LLC simulator and the
- * virtual address space / trace plumbing.
+ * virtual address space / trace plumbing, plus a differential test of
+ * the packed set layout against the former array-of-structs model.
  */
 
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <memory>
 
 #include "core/random.h"
 #include "hw/cache_feed.h"
@@ -13,6 +17,145 @@
 
 namespace dbsens {
 namespace {
+
+/**
+ * The former LlcSim lookup, verbatim: per set, 20 interleaved
+ * {uint64 tag, int64 lastUse} ways scanned one by one. Kept as the
+ * oracle the packed layout must match access for access.
+ */
+class ReferenceLlc
+{
+  public:
+    static constexpr int kWays = LlcSim::kWays;
+    static constexpr int kSets = LlcSim::kSets;
+    static constexpr int kMaxCos = LlcSim::kMaxCos;
+
+    ReferenceLlc() { reset(); }
+
+    void
+    setCosWayMask(int cos, uint32_t mask)
+    {
+        cosMask_[cos] = mask & ((1u << kWays) - 1);
+    }
+
+    bool
+    access(int socket, uint64_t addr, int cos = 0)
+    {
+        ++accesses_;
+        ++clock_;
+        auto &cache = sockets_[socket & 1];
+        const uint64_t line = addr / kCacheLineSize;
+        const auto set = size_t(line % kSets);
+        const uint64_t tag = line / kSets;
+        Way *base = &cache[set * kWays];
+        for (int w = 0; w < kWays; ++w) {
+            if (base[w].tag == tag) {
+                base[w].lastUse = int64_t(clock_);
+                return true;
+            }
+        }
+        ++misses_;
+        const uint32_t mask = cosMask_[cos & (kMaxCos - 1)];
+        int victim = -1;
+        int64_t oldest = INT64_MAX;
+        for (int w = 0; w < kWays; ++w) {
+            if (!(mask & (1u << w)))
+                continue;
+            if (base[w].lastUse < oldest) {
+                oldest = base[w].lastUse;
+                victim = w;
+            }
+        }
+        base[victim].tag = tag;
+        base[victim].lastUse =
+            int64_t(clock_) - int64_t(LlcSim::kInsertAge);
+        return false;
+    }
+
+    void
+    reset()
+    {
+        for (auto &s : sockets_)
+            s.assign(size_t(kSets) * kWays, Way{});
+        clock_ = 0;
+        accesses_ = 0;
+        misses_ = 0;
+    }
+
+    void resetCounters() { accesses_ = 0; misses_ = 0; }
+    uint64_t accesses() const { return accesses_; }
+    uint64_t misses() const { return misses_; }
+
+  private:
+    struct Way
+    {
+        uint64_t tag = ~uint64_t{0};
+        int64_t lastUse = INT64_MIN;
+    };
+
+    std::vector<Way> sockets_[2];
+    uint32_t cosMask_[kMaxCos] = {(1u << kWays) - 1, (1u << kWays) - 1};
+    uint64_t clock_ = 0;
+    uint64_t accesses_ = 0;
+    uint64_t misses_ = 0;
+};
+
+/** An LlcSim and the reference model, driven in lockstep. */
+struct LlcPair
+{
+    LlcSim llc;
+    ReferenceLlc ref;
+
+    void
+    setCosWayMask(int cos, uint32_t mask)
+    {
+        llc.setCosWayMask(cos, mask);
+        ref.setCosWayMask(cos, mask);
+    }
+
+    void
+    setWayMask(uint32_t mask)
+    {
+        for (int cos = 0; cos < LlcSim::kMaxCos; ++cos)
+            setCosWayMask(cos, mask);
+    }
+
+    /** Access both; every result and counter must agree. */
+    void
+    access(uint64_t addr, int cos = 0)
+    {
+        const int socket = socketOfAddr(addr);
+        ASSERT_EQ(llc.access(socket, addr, cos),
+                  ref.access(socket, addr, cos))
+            << "access #" << ref.accesses() << " addr " << addr
+            << " cos " << cos;
+        ASSERT_EQ(llc.accesses(), ref.accesses());
+        ASSERT_EQ(llc.misses(), ref.misses());
+    }
+};
+
+/**
+ * Zipf stream over `lines` distinct lines above `base` (a multiple of
+ * 1 MB). With `sets` = 0 the lines spread over every set; otherwise
+ * they pack into `sets` sets (at most 256, alternating sockets),
+ * lines / sets per set, so every access works the ways, the masks and
+ * the victim choice of a crowded set.
+ */
+std::function<uint64_t()>
+zipfStream(uint64_t seed, uint64_t lines, double theta, uint64_t base = 0,
+           uint64_t sets = 0)
+{
+    auto rng = std::make_shared<Rng>(seed);
+    auto zipf = std::make_shared<ZipfSampler>(lines, theta);
+    return [=] {
+        uint64_t line = (*zipf)(*rng);
+        // Set index (line % sets) * 64 flips address bit 12: socket.
+        if (sets)
+            line = line / sets * LlcSim::kSets + line % sets * 64;
+        // A random byte offset inside the line must not matter.
+        return base + line * kCacheLineSize + rng->uniform(kCacheLineSize);
+    };
+}
 
 TEST(LlcSim, GeometryMatchesPaperTestbed)
 {
@@ -215,6 +358,190 @@ TEST(CacheFeeds, NullFeedOnlyCounts)
     feed.touch(2);
     EXPECT_EQ(feed.accesses(), 2u);
     EXPECT_EQ(feed.misses(), 0u);
+}
+
+TEST(LlcSimDifferential, ZipfStreamsEveryContiguousMask)
+{
+    // A 64 MB Zipf footprint over all sets, plus two streams packed
+    // into 16 sets: ~20 lines a set (fits the full mask) and ~125
+    // lines a set (thrashes every mask).
+    for (int ways = 1; ways <= LlcSim::kWays; ++ways) {
+        LlcPair p;
+        p.setWayMask((1u << ways) - 1);
+        auto spread = zipfStream(100 + ways, 1u << 20, 0.8);
+        auto fits = zipfStream(200 + ways, 320, 0.6, 0, 16);
+        auto thrash = zipfStream(300 + ways, 2000, 0.9, 1ull << 30, 16);
+        Rng pick(400 + ways);
+        for (int i = 0; i < 40000; ++i) {
+            switch (pick.uniform(3)) {
+            case 0:
+                p.access(spread());
+                break;
+            case 1:
+                p.access(fits());
+                break;
+            default:
+                p.access(thrash());
+                break;
+            }
+            if (HasFatalFailure())
+                return;
+        }
+        EXPECT_GT(p.ref.misses(), 0u);
+        EXPECT_LT(p.ref.misses(), p.ref.accesses());
+    }
+}
+
+TEST(LlcSimDifferential, WideFullScaleAddresses)
+{
+    // Full-scale virtual addresses sit far above 2^32; the packed
+    // layout keeps only addr >> 20 as a 32-bit tag.
+    LlcPair p;
+    p.setWayMask(0xFF);
+    auto hot = zipfStream(7, 1u << 12, 0.9, 1ull << 40, 64);
+    auto far = zipfStream(8, 1u << 22, 0.7, (1ull << 51) + (1ull << 45));
+    Rng rng(9);
+    for (int i = 0; i < 60000; ++i) {
+        switch (rng.uniform(3)) {
+        case 0:
+            p.access(hot());
+            break;
+        case 1:
+            p.access(far());
+            break;
+        default:
+            // Uniform over the whole valid tag range.
+            p.access(rng.uniform(0xFFFFFFFFull << 20));
+            break;
+        }
+        if (HasFatalFailure())
+            return;
+    }
+    // Same set and low tag bits, different high tag bits: distinct.
+    const uint64_t a = 0x12345ull << 20;
+    p.access(a);
+    p.access(a + (1ull << 44));
+    p.access(a);
+    p.access(a + (1ull << 44));
+}
+
+TEST(LlcSimDifferential, RandomNonContiguousMasks)
+{
+    Rng rng(42);
+    for (int round = 0; round < 30; ++round) {
+        LlcPair p;
+        uint32_t mask = 0;
+        while (mask == 0)
+            mask = uint32_t(rng.uniform(1u << LlcSim::kWays));
+        p.setWayMask(mask);
+        auto s = zipfStream(500 + round, 1200, 0.75, 0, 32);
+        for (int i = 0; i < 20000; ++i) {
+            p.access(s());
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(LlcSimDifferential, TwoCosWithMasksChangedMidStream)
+{
+    // Disjoint, then overlapping, then swapped COS masks, with the
+    // accesses' COS interleaved at random: lines stay readable in
+    // ways a COS lost (CAT restricts allocation, not lookup).
+    LlcPair p;
+    Rng rng(77);
+    auto s = zipfStream(78, 1000, 0.8, 0, 16);
+    const uint32_t masks[][2] = {{0x0003F, 0xFFFC0},
+                                 {0x000FF, 0x00FF0},
+                                 {0xFFFC0, 0x0003F},
+                                 {0x55555, 0xAAAAA},
+                                 {0x00001, 0x80000}};
+    for (const auto &m : masks) {
+        p.setCosWayMask(0, m[0]);
+        p.setCosWayMask(1, m[1]);
+        for (int i = 0; i < 25000; ++i) {
+            p.access(s(), int(rng.uniform(2)));
+            if (HasFatalFailure())
+                return;
+        }
+    }
+}
+
+TEST(LlcSimDifferential, ResetAndResetCountersMidStream)
+{
+    LlcPair p;
+    p.setWayMask(0x3FF);
+    auto s = zipfStream(11, 1000, 0.8, 0, 16);
+    for (int phase = 0; phase < 6; ++phase) {
+        for (int i = 0; i < 15000; ++i) {
+            p.access(s());
+            if (HasFatalFailure())
+                return;
+        }
+        if (phase % 2 == 0) {
+            p.llc.resetCounters();
+            p.ref.resetCounters();
+        } else {
+            p.llc.reset();
+            p.ref.reset();
+        }
+        EXPECT_EQ(p.llc.accesses(), 0u);
+        EXPECT_EQ(p.llc.misses(), 0u);
+    }
+}
+
+TEST(LlcSim, TagRangeGuard)
+{
+    // The highest line below the empty-way tag is a normal access.
+    LlcSim llc;
+    const uint64_t top = (0xFFFFFFFFull << 20) - kCacheLineSize;
+    EXPECT_FALSE(llc.access(0, top));
+    EXPECT_TRUE(llc.access(0, top));
+    EXPECT_DEATH(llc.access(0, 0xFFFFFFFFull << 20), "32-bit tag range");
+    EXPECT_DEATH(llc.access(1, ~uint64_t{0}), "32-bit tag range");
+}
+
+TEST(CacheFeeds, LiveBatchMatchesOneAtATimeTouches)
+{
+    // Twin caches: one fed in batches (prefetch, then access), one
+    // touch by touch. Counters and every later probe must agree.
+    LlcSim batched;
+    LlcSim single;
+    batched.setWayMask(0x1F);
+    single.setWayMask(0x1F);
+    LiveCacheFeed fb(batched);
+    LiveCacheFeed fs(single);
+    auto s = zipfStream(5, 1000, 0.8, 1ull << 38, 16);
+    Rng rng(6);
+    for (int b = 0; b < 20000; ++b) {
+        uint64_t addrs[7];
+        const int n = int(rng.range(1, 7));
+        for (int i = 0; i < n; ++i)
+            addrs[i] = s();
+        fb.touchBatch(addrs, n);
+        for (int i = 0; i < n; ++i)
+            fs.touch(addrs[i]);
+    }
+    EXPECT_EQ(fb.accesses(), fs.accesses());
+    EXPECT_EQ(fb.misses(), fs.misses());
+    EXPECT_EQ(batched.accesses(), single.accesses());
+    EXPECT_EQ(batched.misses(), single.misses());
+    EXPECT_GT(fb.misses(), 0u);
+    for (int i = 0; i < 50000; ++i) {
+        const uint64_t a = s();
+        ASSERT_EQ(batched.access(socketOfAddr(a), a),
+                  single.access(socketOfAddr(a), a))
+            << "probe " << i;
+    }
+}
+
+TEST(CacheFeeds, DefaultBatchRecordsInOrder)
+{
+    AccessTrace trace;
+    RecordingFeed feed(trace);
+    const uint64_t addrs[] = {64, 128, 64, 4096};
+    feed.touchBatch(addrs, 4);
+    EXPECT_EQ(trace.addrs(), std::vector<uint64_t>(addrs, addrs + 4));
 }
 
 } // namespace

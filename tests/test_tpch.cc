@@ -10,6 +10,7 @@
 #include <memory>
 
 #include "engine/query_runner.h"
+#include "hw/cache_feed.h"
 #include "opt/plan_printer.h"
 #include "workloads/tpch/tpch_gen.h"
 #include "workloads/tpch/tpch_queries.h"
@@ -197,6 +198,24 @@ TEST_P(TpchAllQueries, ExecutesAndReturnsPlausibleResult)
 
 INSTANTIATE_TEST_SUITE_P(Queries, TpchAllQueries,
                          ::testing::Range(1, 23));
+
+TEST(TpchLiveFeed, ExecutorLlcAccessSequenceIsPinned)
+{
+    // Every query's executor touches through one live LLC at one way
+    // per socket, where any reordered, dropped or extra touch moves
+    // the miss count. The expectation was recorded with the executor
+    // issuing its data and working-buffer touches one call at a time.
+    auto db = tpch::generate(2);
+    LlcSim llc;
+    llc.setTotalAllocationMb(2);
+    LiveCacheFeed feed(llc);
+    for (int q = 1; q <= tpch::kQueryCount; ++q)
+        profileQuery(*db, *tpch::query(q), {.maxdop = 8}, nullptr, &feed);
+    EXPECT_EQ(llc.accesses(), 179452u);
+    EXPECT_EQ(llc.misses(), 84334u);
+    EXPECT_EQ(feed.accesses(), llc.accesses());
+    EXPECT_EQ(feed.misses(), llc.misses());
+}
 
 TEST_F(TpchTest, QueriesDeterministicAcrossRuns)
 {

@@ -152,6 +152,18 @@ TEST(HtapWorkloadTest, AnalyticalQueriesSeeFreshInserts)
     EXPECT_EQ(trade.ncci->deltaRows(), 1u);
 }
 
+TEST(HtapWorkloadTest, LargestSweepDatabaseFitsLlcTags)
+{
+    // LlcSim keeps `addr >> 20` as a 32-bit tag, exact for addresses
+    // below ~2^52. HTAP SF 15000 (TPC-E SF 15000 plus its columnstore
+    // indexes) is the largest OLTP database any sweep generates; it
+    // must leave room for the per-query temp regions a run adds.
+    auto db = htap::HtapWorkload(15000).generate(1);
+    const uint64_t bytes = db->space().bytesAllocated();
+    EXPECT_GT(bytes, 1ull << 30);
+    EXPECT_LT(bytes, 1ull << 40);
+}
+
 TEST(OltpRunnerTest, WriteBandwidthLimitReducesTps)
 {
     // Paper Section 6: ASDB TPS drops under write limits even though
