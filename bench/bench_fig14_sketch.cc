@@ -293,8 +293,8 @@ main(int argc, char **argv)
             c.withinFrac = double(within) / double(kKeys);
 
             // ... and the value column's KLL against exact ranks.
-            const auto *vs = ensureColumnStats(
-                hub, resolver.find("fact"), "val", nullptr);
+            const auto *vs =
+                ensureColumnStats(hub, resolver.find("fact"), "val");
             c.kllBound = vs->kll.rankErrorBound();
             for (double q : {0.1, 0.5, 0.9, 0.99}) {
                 const double v = vs->kll.quantile(q);

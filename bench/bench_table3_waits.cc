@@ -29,8 +29,8 @@ main(int argc, char **argv)
         // section is schema-checked and regression-diffed here).
         cfg.obs.enabled = true;
         cfg.obs.sampleEvery = milliseconds(10);
-        // Sketch hub in observe-only mode (neutral behaviour hooks):
-        // the sketch.* report section is schema-checked here while the
+        // Sketch hub (observe-only on the OLTP path): the sketch.*
+        // report section is schema-checked here while the
         // simulated numbers stay identical to a sketch-off run.
         cfg.sketch.enabled = true;
         return runOltp(wl, cfg);

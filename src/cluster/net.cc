@@ -3,6 +3,15 @@
 namespace dbsens {
 namespace cluster {
 
+namespace {
+
+/** One-way delay between distinct nodes: a base plus a uniform
+ * jitter draw in [0, kDelayJitter) per message. */
+constexpr SimDuration kDelayBase = microseconds(60);
+constexpr SimDuration kDelayJitter = microseconds(60);
+
+} // namespace
+
 void
 NetModel::deliverAt(SimTime t, int to, std::function<void()> fn)
 {
@@ -34,18 +43,13 @@ NetModel::send(int from, int to, std::function<void()> fn)
         ++dropped_;
         return;
     }
-    const SimDuration jitter =
-        cfg_.delayJitter > 0
-            ? SimDuration(rng_.uniform(uint64_t(cfg_.delayJitter)))
-            : 0;
-    const SimTime t = loop_.now() + cfg_.delayBase + jitter;
+    const SimTime t = loop_.now() + kDelayBase +
+                      SimDuration(rng_.uniform(uint64_t(kDelayJitter)));
     if (cfg_.dupRate > 0 && rng_.chance(cfg_.dupRate)) {
         ++duplicated_;
-        const SimDuration jitter2 =
-            cfg_.delayJitter > 0
-                ? SimDuration(rng_.uniform(uint64_t(cfg_.delayJitter)))
-                : 0;
-        deliverAt(t + cfg_.delayBase + jitter2, to, fn);
+        deliverAt(t + kDelayBase +
+                      SimDuration(rng_.uniform(uint64_t(kDelayJitter))),
+                  to, fn);
     }
     deliverAt(t, to, std::move(fn));
 }

@@ -71,12 +71,11 @@ struct RunConfig
     /**
      * Victim retry policy: a transaction aborted by a lock timeout is
      * retried up to this many times with capped exponential backoff
-     * before the session gives up on it. 0 keeps the seed behaviour
-     * (single fixed backoff, no retry accounting).
+     * (workloads/workload.h) before the session gives up on it. 0
+     * keeps the seed behaviour (single fixed backoff, no retry
+     * accounting).
      */
     int txnRetryLimit = 0;
-    SimDuration txnRetryBackoffBase = microseconds(200);
-    SimDuration txnRetryBackoffCap = milliseconds(8);
     /**
      * Deadlock resolution: TimeoutOnly keeps the seed behaviour;
      * Detector runs a periodic waits-for-graph cycle search with the
@@ -325,6 +324,12 @@ class SimRun
     };
 
     SimRun(Database &db, const RunConfig &cfg, EventLoop *ext);
+
+    // Actuators shared by the autopilot and the resilience controller.
+    /** Resize the analytical grant pool; the sketch hub sees it too. */
+    void setGrantCapacity(uint64_t bytes);
+    /** Install tenant `t`'s core lease (mask 0 = no lease). */
+    void setCoreLease(int t, uint64_t mask);
 
     Database &db_;
     RunConfig cfg_;

@@ -10,6 +10,14 @@
 namespace dbsens {
 namespace obs {
 
+namespace {
+
+/** Points each series keeps; a full ring downsamples by doubling its
+ * stride. */
+constexpr size_t kSeriesCapacity = 512;
+
+} // namespace
+
 void
 AttributionResult::merge(const AttributionResult &other)
 {
@@ -202,7 +210,7 @@ AttributionResult::toJson() const
 RunObserver::RunObserver(const ObsConfig &cfg, const StatsRegistry &reg,
                          std::function<SimTime()> now)
     : cfg_(cfg), reg_(reg), ledger_(std::move(now)),
-      hub_(reg, cfg.seriesCapacity)
+      hub_(reg, kSeriesCapacity)
 {
     for (int t = 0; t < kBlameTenants; ++t) {
         ledger_.setSessions(t, cfg_.sessions[t]);

@@ -20,7 +20,7 @@ struct Partial
 
 const sketch::SketchHub::ColumnStats *
 ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
-                  const std::string &column, WorkerPool *pool)
+                  const std::string &column)
 {
     if (const auto *cs = hub.findColumn(th.name, column))
         return cs;
@@ -39,16 +39,15 @@ ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
     const ColumnData &col = data.column(column);
     const size_t nrows = data.rowCount();
 
-    // Per-worker partials; CMS partials share the column seed (merge
-    // requires it), KLL partials are seeded by morsel index so the
-    // build is bit-identical for any worker count.
+    // Per-morsel partials; CMS partials share the column seed (merge
+    // requires it), KLL partials are seeded by morsel index.
     auto parts = morselMap<Partial>(
-        pool, nrows, 0,
+        nullptr, nrows, 0,
         [&](size_t m, size_t begin, size_t end) {
             Partial p;
             if (cs.hasCms)
                 p.cms = std::make_unique<sketch::CountMinSketch>(
-                    cfg.cmsWidth, cfg.cmsDepth, seed);
+                    cfg.cmsWidth, sketch::SketchHub::kCmsDepth, seed);
             p.kll = std::make_unique<sketch::KllSketch>(
                 cfg.kllK, seed ^ (m * 0x9e3779b97f4a7c15ULL + 1));
             for (size_t r = begin; r < end; ++r) {
@@ -66,7 +65,7 @@ ensureColumnStats(sketch::SketchHub &hub, const TableHandle &th,
             return p;
         });
 
-    // Merge in morsel order (worker-count independent).
+    // Merge in morsel order.
     for (auto &p : parts) {
         if (p.cms)
             cs.cms.merge(*p.cms);

@@ -73,8 +73,7 @@ ResilController::ResilController(EventLoop &loop,
     : loop_(loop), cfg_(cfg), detector_(cfg_), ladder_(cfg_)
 {
     for (int t = 0; t < kNumTenants; ++t)
-        bucket_[t].configure(cfg_.admitRatePerSec[t],
-                             cfg_.admitBurst[t]);
+        bucket_[t].configure(kAdmitRatePerSec[t], kAdmitBurst[t]);
 }
 
 void
@@ -132,28 +131,27 @@ ResilController::tick()
     const double viol =
         hooks_.sloViolations ? double(hooks_.sloViolations()) : 0.0;
     if (viol > lastViol_) {
-        p += cfg_.sloWeight * (viol - lastViol_);
+        p += kSloWeight * (viol - lastViol_);
         causes |= kCauseSlo;
     }
     lastViol_ = viol;
 
     const double factor = readStat("ssd.brownout_factor");
     if (factor > 0 && factor < 1.0) {
-        p += cfg_.brownoutWeight;
+        p += kBrownoutWeight;
         causes |= kCauseBrownout;
     }
 
     const double retries = readStat("fault.ssd.retries");
-    if (retries - lastRetries_ >= double(cfg_.retryStormThreshold)) {
-        p += cfg_.retryStormWeight;
+    if (retries - lastRetries_ >= double(kRetryStormThreshold)) {
+        p += kRetryStormWeight;
         causes |= kCauseRetryStorm;
     }
     lastRetries_ = retries;
 
     const double sheds = readStat("grants.sheds_timeout");
     if (sheds > lastSheds_) {
-        p += cfg_.shedWeight *
-             std::min(sheds - lastSheds_, double(cfg_.shedCap));
+        p += kShedWeight * std::min(sheds - lastSheds_, double(kShedCap));
         causes |= kCauseShed;
     }
     lastSheds_ = sheds;
@@ -220,7 +218,7 @@ ResilController::actuate(int from, int to)
                 hooks_.grantCapacity ? hooks_.grantCapacity() : 0;
             if (savedGrant_ > 0 && hooks_.setGrantCapacity)
                 hooks_.setGrantCapacity(uint64_t(
-                    double(savedGrant_) * cfg_.grantShrinkFactor));
+                    double(savedGrant_) * kGrantShrinkFactor));
         } else if (savedGrant_ > 0 && hooks_.setGrantCapacity) {
             hooks_.setGrantCapacity(savedGrant_);
         }
@@ -238,22 +236,18 @@ ResilController::actuate(int from, int to)
             // the machine (mask 0 = no lease) — the autopilot is
             // frozen, so nothing re-partitions underneath us.
             if (hooks_.setCoreLease) {
-                hooks_.setCoreLease(
-                    kTenantOlap,
-                    (uint64_t(1) << std::max(1, cfg_.priorityOlapCores)) -
-                        1);
+                hooks_.setCoreLease(kTenantOlap,
+                                    (uint64_t(1) << kPriorityOlapCores) - 1);
                 hooks_.setCoreLease(kTenantOltp, 0);
             }
             bucket_[kTenantOlap].configure(
-                cfg_.admitRatePerSec[kTenantOlap] *
-                    cfg_.priorityOlapFactor,
-                cfg_.admitBurst[kTenantOlap]);
+                kAdmitRatePerSec[kTenantOlap] * kPriorityOlapFactor,
+                kAdmitBurst[kTenantOlap]);
         } else {
             if (hooks_.restoreShares)
                 hooks_.restoreShares();
-            bucket_[kTenantOlap].configure(
-                cfg_.admitRatePerSec[kTenantOlap],
-                cfg_.admitBurst[kTenantOlap]);
+            bucket_[kTenantOlap].configure(kAdmitRatePerSec[kTenantOlap],
+                                           kAdmitBurst[kTenantOlap]);
         }
         break;
     }

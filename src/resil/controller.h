@@ -86,7 +86,7 @@ class ResilController
     {
         if (tenant != kTenantOlap || rung() < kRungClampDop)
             return 0;
-        return rung() >= kRungOltpPriority ? 1 : cfg_.olapDopClamp;
+        return rung() >= kRungOltpPriority ? 1 : kOlapDopClamp;
     }
 
     /** Session-side re-admission backoff after the `attempt`-th
@@ -95,8 +95,7 @@ class ResilController
     SimDuration
     admitRetryDelay(int attempt) const
     {
-        return cappedExpDelay(cfg_.admitRetryBase, cfg_.admitRetryCap,
-                              attempt);
+        return cappedExpDelay(kAdmitRetryBase, kAdmitRetryCap, attempt);
     }
 
     bool incidentActive() const { return detector_.active(); }
@@ -109,6 +108,37 @@ class ResilController
     void registerStats(StatsRegistry &reg, const std::string &prefix);
 
   private:
+    // --- detector pressure signals
+    /** Pressure contributed per SLO violation observed this tick. */
+    static constexpr double kSloWeight = 1.0;
+    /** Pressure while an SSD brownout window is active. */
+    static constexpr double kBrownoutWeight = 1.0;
+    /** Pressure when SSD retries this tick reach the storm bar. */
+    static constexpr double kRetryStormWeight = 1.0;
+    static constexpr int kRetryStormThreshold = 8;
+    /** Pressure per grant-queue timeout shed this tick (capped at
+     * kShedCap sheds so a burst cannot dwarf every other signal). */
+    static constexpr double kShedWeight = 0.5;
+    static constexpr int kShedCap = 10;
+
+    // --- actuation
+    /** OLAP MAXDOP clamp at kRungClampDop+ (1 at OLTP-priority). */
+    static constexpr int kOlapDopClamp = 2;
+    /** Grant-pool capacity factor at kRungShrinkGrant+. */
+    static constexpr double kGrantShrinkFactor = 0.5;
+    /** Token-bucket admission rate/burst per tenant at
+     * kRungAdmission+ (work units per second; OLTP = txns, OLAP =
+     * queries). OLTP admission is bypassed at OLTP-priority. */
+    static constexpr double kAdmitRatePerSec[kNumTenants] = {20000.0, 200.0};
+    static constexpr double kAdmitBurst[kNumTenants] = {64.0, 4.0};
+    /** OLAP rate multiplier while at OLTP-priority. */
+    static constexpr double kPriorityOlapFactor = 0.25;
+    /** Cores leased to OLAP at OLTP-priority (low core ids). */
+    static constexpr int kPriorityOlapCores = 2;
+    /** Session-side re-admission backoff after an admission shed. */
+    static constexpr SimDuration kAdmitRetryBase = microseconds(500);
+    static constexpr SimDuration kAdmitRetryCap = milliseconds(8);
+
     Task<void> tickLoop();
     void tick();
     void actuate(int from, int to);

@@ -8,6 +8,14 @@
 
 namespace dbsens {
 
+namespace {
+
+/** Extra latency of one injected device stall (FaultConfig::
+ * ssdStallRate draws whether a request stalls). */
+constexpr SimDuration kSsdStall = milliseconds(2);
+
+} // namespace
+
 SimDuration
 SsdModel::reserve(SimTime &channel_free, double bw, uint64_t bytes)
 {
@@ -54,8 +62,7 @@ SsdModel::injectIoFaults(bool is_read, uint64_t bytes)
 {
     // Transient device stall (firmware hiccup): pure extra latency.
     if (faults_->drawSsdStall())
-        co_await SimDelay(
-            loop_, SimDuration(faults_->config().ssdStallNs));
+        co_await SimDelay(loop_, kSsdStall);
 
     // Transient error detected at completion: back off (capped
     // exponential + seeded jitter) and re-issue the transfer, which

@@ -3,11 +3,31 @@
 namespace dbsens {
 namespace sketch {
 
+namespace {
+
+/** Base seed every sketch of the hub derives its own seed from. */
+constexpr uint64_t kSeed = 0x5eed5ce7c4ULL;
+
+/** Partitions of each table's hot-row tracker. */
+constexpr uint32_t kHotParts = 8;
+
+/**
+ * When the grant-pool capacity drops to this fraction of its
+ * first-seen value, every sketch sheds one rung (CMS width and KLL
+ * budget halve, down to the shrink() floors); each further drop by
+ * the same fraction sheds another. The accuracy cost is quantified:
+ * epsilon doubles per rung and the KLL rank-error budget absorbs the
+ * recompactions.
+ */
+constexpr double kShrinkGrantFrac = 0.5;
+
+} // namespace
+
 SketchHub::SketchHub(const SketchConfig &cfg)
-    : cfg_(cfg), pageHeat_(cfg.hotWidth, cfg.cmsDepth,
-                           cfg.seed ^ 0x7061676573ULL),
-      lat_{KllSketch(cfg.kllK, cfg.seed ^ 0x6c617430ULL),
-           KllSketch(cfg.kllK, cfg.seed ^ 0x6c617431ULL)}
+    : cfg_(cfg), pageHeat_(cfg.hotWidth, kCmsDepth,
+                           kSeed ^ 0x7061676573ULL),
+      lat_{KllSketch(cfg.kllK, kSeed ^ 0x6c617430ULL),
+           KllSketch(cfg.kllK, kSeed ^ 0x6c617431ULL)}
 {
 }
 
@@ -26,7 +46,7 @@ SketchHub::addColumn(const std::string &table,
     auto &slot = columns_[table + "." + column];
     if (!slot)
         slot = std::make_unique<ColumnStats>(
-            cfg_.cmsWidth, cfg_.cmsDepth, cfg_.kllK,
+            cfg_.cmsWidth, kCmsDepth, cfg_.kllK,
             columnSeed(table, column));
     return *slot;
 }
@@ -36,7 +56,7 @@ SketchHub::columnSeed(const std::string &table,
                       const std::string &column) const
 {
     const std::string key = table + "." + column;
-    return cfg_.seed ^ fnv1a(key.data(), key.size());
+    return kSeed ^ fnv1a(key.data(), key.size());
 }
 
 void
@@ -45,8 +65,8 @@ SketchHub::noteRowAccess(uint64_t tableId, uint64_t row)
     auto &slot = rowHeat_[tableId];
     if (!slot)
         slot = std::make_unique<PartitionedCms>(
-            cfg_.hotParts, cfg_.hotWidth, cfg_.cmsDepth,
-            cfg_.seed ^ (tableId * 0x9e3779b97f4a7c15ULL));
+            kHotParts, cfg_.hotWidth, kCmsDepth,
+            kSeed ^ (tableId * 0x9e3779b97f4a7c15ULL));
     ++rowAccesses_;
     slot->update(row);
     const uint64_t total = slot->total();
@@ -73,15 +93,6 @@ SketchHub::notePageAccess(uint64_t page)
 {
     ++pageAccesses_;
     pageHeat_.update(page);
-}
-
-bool
-SketchHub::isHotPage(uint64_t page) const
-{
-    const uint64_t total = pageHeat_.total();
-    return total >= cfg_.hotMinTotal &&
-           double(pageHeat_.estimate(page)) >=
-               cfg_.hotFraction * double(total);
 }
 
 const PartitionedCms *
@@ -118,7 +129,7 @@ SketchHub::noteGrantCapacity(uint64_t bytes)
 {
     if (grantBaseline_ == 0) {
         grantBaseline_ = bytes;
-        nextShrinkBelow_ = double(bytes) * cfg_.shrinkGrantFrac;
+        nextShrinkBelow_ = double(bytes) * kShrinkGrantFrac;
         return;
     }
     // Each crossing of the next rung sheds one halving everywhere;
@@ -131,22 +142,22 @@ SketchHub::noteGrantCapacity(uint64_t bytes)
         step.eps = pageHeat_.epsilon();
         step.bytes = this->bytes();
         resizeLog_.push_back(step);
-        nextShrinkBelow_ *= cfg_.shrinkGrantFrac;
+        nextShrinkBelow_ *= kShrinkGrantFrac;
     }
 }
 
 bool
 SketchHub::shrinkAll()
 {
-    bool any = pageHeat_.shrink(cfg_.minWidth);
+    bool any = pageHeat_.shrink();
     for (auto &[id, t] : rowHeat_)
-        any = t->shrink(cfg_.minWidth) || any;
+        any = t->shrink() || any;
     for (auto &[name, c] : columns_) {
-        any = c->cms.shrink(cfg_.minWidth) || any;
-        any = c->kll.shrink(cfg_.minK) || any;
+        any = c->cms.shrink() || any;
+        any = c->kll.shrink() || any;
     }
     for (auto &l : lat_)
-        any = l.shrink(cfg_.minK) || any;
+        any = l.shrink() || any;
     return any;
 }
 
@@ -200,7 +211,7 @@ SketchHub::result() const
     SketchResult r;
     r.enabled = true;
     r.cmsWidth = pageHeat_.width();
-    r.cmsDepth = cfg_.cmsDepth;
+    r.cmsDepth = kCmsDepth;
     r.cmsEps = pageHeat_.epsilon();
     r.kllK = lat_[0].k();
     r.resizes = resizes_;

@@ -9,15 +9,13 @@
  * Three consumer groups hang off the hub:
  *
  *  (a) the optimizer: per-column CountMin + KLL statistics, built
- *      lazily from table data by opt/sketch_stats.cc (per-worker
+ *      lazily from table data by opt/sketch_stats.cc (per-morsel
  *      partials merged in morsel order) and queried for literal
  *      selectivities in place of the static heuristics;
  *
- *  (b) hot-key detection: a per-table PartitionedCms over row ids fed
- *      from the transaction path, consulted by the lock manager
- *      (early deadlock-victim hints: hot-row waiters get a shortened
- *      timeout) and the buffer pool (pin-set bias: hot pages get a
- *      second chance before eviction);
+ *  (b) hot-key detection: a per-table PartitionedCms over row ids and
+ *      a CountMin over page ids, fed from the transaction path and
+ *      the buffer pool, counting accesses to already-hot rows;
  *
  *  (c) per-tenant resource-usage quantiles: KLL latency summaries
  *      registered as `sketch.*` gauges, read by the autopilot's probe
@@ -26,10 +24,8 @@
  *      and partition-split exactness at the router.
  *
  * The hub never draws from workload RNG streams, never schedules
- * events, and all its updates are pure bookkeeping — with the
- * behaviour hooks (hotTimeoutFactor, pinBias) left at their neutral
- * defaults, an enabled hub only *observes* and simulated results are
- * unchanged.
+ * events, and all its updates are pure bookkeeping: apart from the
+ * optimizer's estimates, an enabled hub only *observes*.
  */
 
 #ifndef DBSENS_STATS_SKETCH_HUB_H
@@ -47,7 +43,7 @@
 namespace dbsens {
 namespace sketch {
 
-/** RunConfig::sketch — everything defaults to pure observation. */
+/** RunConfig::sketch. */
 struct SketchConfig
 {
     /** Master gate: false ⇒ no hub, byte-identical runs. */
@@ -55,37 +51,14 @@ struct SketchConfig
 
     // --- sketch shapes (per column / tracker) ---
     uint32_t cmsWidth = 8192; ///< column frequency sketch width
-    uint32_t cmsDepth = 4;    ///< rows; bound fails w.p. exp(-depth)
     uint32_t kllK = 200;      ///< quantile compaction budget
     uint32_t hotWidth = 4096; ///< hot-row/page tracker width
-    uint32_t hotParts = 8;    ///< hot-row tracker partitions
-    uint64_t seed = 0x5eed5ce7c4ULL;
 
     // --- hot-key policy ---
     /** A key is hot when its estimate >= hotFraction * total. */
     double hotFraction = 0.02;
     /** ... and at least this many accesses were tracked. */
     uint64_t hotMinTotal = 512;
-    /**
-     * Lock-wait budget multiplier for waiters parked on a hot row
-     * (early deadlock-victim hint). 1.0 (default) installs no hook
-     * at all — observation only.
-     */
-    double hotTimeoutFactor = 1.0;
-    /** Buffer-pool second-chance bias for hot pages (default off). */
-    bool pinBias = false;
-
-    // --- grant-pressure resize ladder ---
-    /**
-     * When the grant-pool capacity drops to this fraction of its
-     * first-seen value, every sketch sheds one rung (CMS width and
-     * KLL budget halve); each further drop by the same fraction sheds
-     * another. The accuracy cost is quantified: epsilon doubles per
-     * rung and the KLL rank-error budget absorbs the recompactions.
-     */
-    double shrinkGrantFrac = 0.5;
-    uint32_t minWidth = 64; ///< CMS fold floor
-    uint32_t minK = 16;     ///< KLL budget floor
 };
 
 /** Harness-facing summary for OltpRunResult / reports. */
@@ -115,6 +88,8 @@ class SketchHub
 {
   public:
     static constexpr int kTenants = 2;
+    /** CountMin rows; the error bound fails w.p. exp(-depth). */
+    static constexpr uint32_t kCmsDepth = 4;
 
     explicit SketchHub(const SketchConfig &cfg);
 
@@ -154,7 +129,6 @@ class SketchHub
     void noteRowAccess(uint64_t tableId, uint64_t row);
     bool isHotRow(uint64_t tableId, uint64_t row) const;
     void notePageAccess(uint64_t page);
-    bool isHotPage(uint64_t page) const;
 
     uint64_t rowAccesses() const { return rowAccesses_; }
     uint64_t pageAccesses() const { return pageAccesses_; }

@@ -86,8 +86,8 @@ ResourceArbiter::clamp(KnobState s) const
             totals_.grantBytes - s.tenant[0].grantBytes;
     for (int t = 0; t < kNumTenants; ++t) {
         TenantShare &sh = s.tenant[t];
-        sh.maxdop = std::clamp(sh.maxdop, 1,
-                               std::min(totals_.maxdop, sh.cores));
+        sh.maxdop = std::clamp(
+            sh.maxdop, 1, std::max(1, std::min(totals_.maxdop, sh.cores)));
     }
     return s;
 }
@@ -214,8 +214,11 @@ ResourceArbiter::apply(KnobState &s, const TuneMove &m) const
     // instead of failing.
     for (int t = 0; t < kNumTenants; ++t) {
         TenantShare &sh = n.tenant[t];
-        sh.maxdop = std::clamp(sh.maxdop, 1,
-                               std::min(totals_.maxdop, sh.cores));
+        // A shift can drive `cores` to <= 0; keep the upper bound at
+        // least 1 so std::clamp stays defined (valid() rejects the
+        // state below anyway).
+        sh.maxdop = std::clamp(
+            sh.maxdop, 1, std::max(1, std::min(totals_.maxdop, sh.cores)));
     }
     if (!valid(n) || n == s)
         return false;

@@ -188,14 +188,13 @@ Autopilot::epochLoop()
             for (int t = 0; t < kNumTenants; ++t)
                 rateSum_[t] += m.rate[t];
             if (epochs_ >= cfg_.baselineEpochs) {
-                // Self-normalize: the even-split baseline scores
-                // ~kNumTenants, so the score is a sum of normalized
-                // per-tenant throughputs (explicit weights override).
+                // Self-normalize: weight = 1 / (the tenant's mean rate
+                // over the baseline epochs), so the even-split baseline
+                // scores ~kNumTenants and the score is a sum of
+                // normalized per-tenant throughputs.
                 for (int t = 0; t < kNumTenants; ++t) {
                     const double mean = rateSum_[t] / double(epochs_);
-                    weight_[t] = cfg_.weight[t] != 0
-                                     ? cfg_.weight[t]
-                                     : (mean > 0 ? 1.0 / mean : 0.0);
+                    weight_[t] = mean > 0 ? 1.0 / mean : 0.0;
                 }
                 weightsSet_ = true;
             }

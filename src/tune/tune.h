@@ -128,20 +128,6 @@ struct TuneConfig
      */
     double hysteresis = 0.02;
 
-    /** Epochs a rolled-back move is skipped before being retried. */
-    int cooldownEpochs = 4;
-
-    /**
-     * Per-tenant score weights. 0 (default) self-normalizes: weight
-     * becomes 1 / (tenant's mean rate over the baseline epochs), so
-     * the even-split baseline scores ~= kNumTenants and the score is
-     * a sum of normalized per-tenant throughputs.
-     */
-    double weight[kNumTenants] = {0.0, 0.0};
-
-    /** Deterministic seed (reserved for stochastic policies). */
-    uint64_t seed = 1;
-
     /**
      * Delay before the first control epoch (the engine sets this to
      * the run's warmup so measurement starts in steady state). The

@@ -226,7 +226,7 @@ AsdbWorkload::session(SimRun &run, Database &db, uint64_t seed)
                 ++run.txnsRetried;
                 co_await SimDelay(
                     run.loop,
-                    victimRetryBackoff(rng, attempt + 1, run.config()));
+                    victimRetryBackoff(rng, attempt + 1));
                 continue;
             }
             if (run.config().txnRetryLimit > 0)
