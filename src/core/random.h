@@ -131,6 +131,11 @@ class Rng
  *
  * theta in (0, 1) controls skew; theta -> 1 is very skewed. theta = 0
  * degenerates to uniform.
+ *
+ * Immutable after construction (every draw's state comes from the
+ * caller's Rng), so one sampler can serve many sessions and threads.
+ * Construction is not cheap (up to 10,000 pow calls in zeta()):
+ * build one per (n, theta) per workload, not one per session.
  */
 class ZipfSampler
 {
@@ -145,6 +150,7 @@ class ZipfSampler
         zetan_ = zeta(n, theta);
         zeta2_ = zeta(2, theta);
         alpha_ = 1.0 / (1.0 - theta);
+        halfPowTheta_ = std::pow(0.5, theta);
         eta_ = (1.0 - std::pow(2.0 / double(n), 1.0 - theta)) /
                (1.0 - zeta2_ / zetan_);
     }
@@ -162,7 +168,7 @@ class ZipfSampler
         const double uz = u * zetan_;
         if (uz < 1.0)
             return 0;
-        if (uz < 1.0 + std::pow(0.5, theta_))
+        if (uz < 1.0 + halfPowTheta_)
             return 1;
         auto v = uint64_t(double(n_) *
                           std::pow(eta_ * u - eta_ + 1.0, alpha_));
@@ -194,6 +200,7 @@ class ZipfSampler
     double theta_;
     bool uniform_ = false;
     double zetan_ = 0, zeta2_ = 0, alpha_ = 0, eta_ = 0;
+    double halfPowTheta_ = 0; ///< 0.5^theta: the rank-1 threshold
 };
 
 } // namespace dbsens

@@ -76,18 +76,6 @@ SketchHub::noteRowAccess(uint64_t tableId, uint64_t row)
         ++hotHits_;
 }
 
-bool
-SketchHub::isHotRow(uint64_t tableId, uint64_t row) const
-{
-    const auto it = rowHeat_.find(tableId);
-    if (it == rowHeat_.end())
-        return false;
-    const uint64_t total = it->second->total();
-    return total >= cfg_.hotMinTotal &&
-           double(it->second->estimate(row)) >=
-               cfg_.hotFraction * double(total);
-}
-
 void
 SketchHub::notePageAccess(uint64_t page)
 {

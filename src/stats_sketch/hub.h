@@ -127,7 +127,6 @@ class SketchHub
     // ----- (b) hot-key detection -----
 
     void noteRowAccess(uint64_t tableId, uint64_t row);
-    bool isHotRow(uint64_t tableId, uint64_t row) const;
     void notePageAccess(uint64_t page);
 
     uint64_t rowAccesses() const { return rowAccesses_; }

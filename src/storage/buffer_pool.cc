@@ -1,5 +1,7 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
+
 #include "core/fault.h"
 #include "core/logging.h"
 #include "core/stats.h"
@@ -119,6 +121,18 @@ BufferPool::touchLru(PageId id, Object &o)
 {
     lru_.erase(o.lruPos);
     o.lruPos = lru_.insert(lru_.end(), id);
+    o.lruStamp = ++lruClock_;
+}
+
+void
+BufferPool::eraseDirty(Object &o)
+{
+    Object *last = dirty_.back();
+    dirty_[o.dirtyPos] = last;
+    last->dirtyPos = o.dirtyPos;
+    dirty_.pop_back();
+    o.dirty = false;
+    dirtyBytes_ -= o.bytes;
 }
 
 uint64_t
@@ -133,15 +147,15 @@ BufferPool::makeRoom(uint64_t needed)
             // rotate past them.
             lru_.pop_front();
             vo.lruPos = lru_.insert(lru_.end(), victim);
+            vo.lruStamp = ++lruClock_;
             continue;
         }
         lru_.pop_front();
         vo.resident = false;
         used_ -= vo.bytes;
         if (vo.dirty) {
-            vo.dirty = false;
-            dirtyBytes_ -= vo.bytes;
             writeback += vo.bytes;
+            eraseDirty(vo);
         }
     }
     writebackBytes_ += writeback;
@@ -154,6 +168,7 @@ BufferPool::admit(PageId id, Object &o)
     o.resident = true;
     used_ += o.bytes;
     o.lruPos = lru_.insert(lru_.end(), id);
+    o.lruStamp = ++lruClock_;
 }
 
 Task<void>
@@ -252,6 +267,8 @@ BufferPool::markDirty(PageId id)
     if (!o.dirty) {
         o.dirty = true;
         dirtyBytes_ += o.bytes;
+        o.dirtyPos = dirty_.size();
+        dirty_.push_back(&o);
     }
     // Every logical modification produces a new consistent image.
     ++o.version;
@@ -301,15 +318,22 @@ BufferPool::registerStats(StatsRegistry &reg,
 uint64_t
 BufferPool::flushDirty(uint64_t max_bytes)
 {
+    // Visit only the dirty objects, in LRU order. A walk over all of
+    // lru_ sees the same dirty objects in the same order (stamps grow
+    // towards the MRU end), and the clean ones it also visits change
+    // neither `flushed` nor any object, so both clean the same set.
+    flushOrder_.clear();
+    for (Object *o : dirty_)
+        flushOrder_.emplace_back(o->lruStamp, o);
+    std::sort(flushOrder_.begin(), flushOrder_.end(),
+              [](const auto &a, const auto &b) { return a.first < b.first; });
     uint64_t flushed = 0;
-    for (PageId id : lru_) {
+    for (const auto &[stamp, o] : flushOrder_) {
         if (flushed >= max_bytes)
             break;
-        Object &o = objects_.at(id);
-        if (o.dirty && !o.loading) {
-            o.dirty = false;
-            dirtyBytes_ -= o.bytes;
-            flushed += o.bytes;
+        if (!o->loading) {
+            flushed += o->bytes;
+            eraseDirty(*o);
         }
     }
     writebackBytes_ += flushed;

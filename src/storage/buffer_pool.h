@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <list>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/types.h"
@@ -109,8 +110,10 @@ class BufferPool
     void prewarm();
 
     /**
-     * Write back up to `max_bytes` of dirty objects (checkpoint /
-     * lazy-writer behaviour). Returns bytes queued for write.
+     * Write back up to `max_bytes` of dirty objects, least recently
+     * used first, skipping in-flight loads (checkpoint / lazy-writer
+     * behaviour). Stops before the first object once `max_bytes` have
+     * been written. Returns bytes queued for write.
      */
     uint64_t flushDirty(uint64_t max_bytes);
 
@@ -146,6 +149,11 @@ class BufferPool
         uint64_t version = 0;
         /** Checksum of the last consistent image. */
         uint64_t checksum = 0;
+        /** Bumped from lruClock_ whenever the object moves to the MRU
+         * end, so `lru_` order is exactly increasing stamp order. */
+        uint64_t lruStamp = 0;
+        /** Slot in dirty_ while dirty. */
+        size_t dirtyPos = 0;
         std::list<PageId>::iterator lruPos;
         std::vector<std::coroutine_handle<>> loadWaiters;
     };
@@ -154,6 +162,9 @@ class BufferPool
 
     /** Move to MRU position. */
     void touchLru(PageId id, Object &o);
+
+    /** Drop a dirty object from dirty_ (flushed or evicted). */
+    void eraseDirty(Object &o);
 
     /** Evict LRU objects until `needed` bytes fit. Returns writeback
      * bytes generated by evicting dirty objects. */
@@ -170,6 +181,11 @@ class BufferPool
     std::unordered_map<PageId, Object> objects_;
     std::vector<PageId> registrationOrder_;
     std::list<PageId> lru_; // front = LRU, back = MRU
+    uint64_t lruClock_ = 0;
+    /** Every dirty object, unordered; flushDirty sorts by lruStamp. */
+    std::vector<Object *> dirty_;
+    /** flushDirty's (stamp, object) scratch, kept to reuse capacity. */
+    std::vector<std::pair<uint64_t, Object *>> flushOrder_;
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
     uint64_t diskReadBytes_ = 0;

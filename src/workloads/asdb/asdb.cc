@@ -78,6 +78,12 @@ AsdbScale::AsdbScale(int sf_in) : sf(sf_in)
     growingRows = scalingRows / 2;
 }
 
+AsdbWorkload::AsdbWorkload(int sf, int sessions)
+    : sf_(sf), sessions_(sessions),
+      scalingZipf_(AsdbScale(sf).scalingRows, kScalingTheta)
+{
+}
+
 std::unique_ptr<Database>
 generateDb(int sf, uint64_t seed)
 {
@@ -135,7 +141,7 @@ AsdbWorkload::session(SimRun &run, Database &db, uint64_t seed)
 {
     Rng rng(seed);
     const AsdbScale sc(sf_);
-    ZipfSampler scaling_zipf(sc.scalingRows, kScalingTheta);
+    const ZipfSampler &scaling_zipf = scalingZipf_;
 
     auto &fixed = db.table("fixed");
     auto &scaling = db.table("scaling");

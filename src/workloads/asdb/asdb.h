@@ -37,10 +37,7 @@ std::unique_ptr<Database> generateDb(int sf, uint64_t seed);
 class AsdbWorkload : public OltpWorkload
 {
   public:
-    explicit AsdbWorkload(int sf, int sessions = 128)
-        : sf_(sf), sessions_(sessions)
-    {
-    }
+    explicit AsdbWorkload(int sf, int sessions = 128);
 
     std::string name() const override { return "ASDB"; }
     int scaleFactor() const override { return sf_; }
@@ -63,6 +60,9 @@ class AsdbWorkload : public OltpWorkload
     int sessions_;
     int64_t nextGrowKey_ = 0;
     int64_t growHead_ = 0; ///< oldest live growing-table key
+    /** Key picker over the scaling table, shared by every session
+     * (immutable, built once per workload). */
+    const ZipfSampler scalingZipf_;
 };
 
 } // namespace asdb

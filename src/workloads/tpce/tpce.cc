@@ -69,6 +69,14 @@ TpceScale::TpceScale(int sf_in) : sf(sf_in)
     holdings = accounts * 3;
 }
 
+TpceWorkload::TpceWorkload(int sf, int sessions)
+    : sf_(sf), sessions_(sessions),
+      acctZipf_(TpceScale(sf).accounts, kAccountTheta),
+      secZipf_(TpceScale(sf).securities, kSecurityTheta),
+      custZipf_(TpceScale(sf).customers, kAccountTheta)
+{
+}
+
 std::unique_ptr<Database>
 generateDb(int sf, uint64_t seed, bool with_ncci)
 {
@@ -218,9 +226,9 @@ TpceWorkload::session(SimRun &run, Database &db, uint64_t seed)
 {
     Rng rng(seed);
     const TpceScale sc(sf_);
-    ZipfSampler acct_zipf(sc.accounts, kAccountTheta);
-    ZipfSampler sec_zipf(sc.securities, kSecurityTheta);
-    ZipfSampler cust_zipf(sc.customers, kAccountTheta);
+    const ZipfSampler &acct_zipf = acctZipf_;
+    const ZipfSampler &sec_zipf = secZipf_;
+    const ZipfSampler &cust_zipf = custZipf_;
 
     auto &trade = db.table("trade");
     auto &account = db.table("account");

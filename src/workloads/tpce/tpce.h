@@ -42,10 +42,7 @@ std::unique_ptr<Database> generateDb(int sf, uint64_t seed,
 class TpceWorkload : public OltpWorkload
 {
   public:
-    explicit TpceWorkload(int sf, int sessions = 100)
-        : sf_(sf), sessions_(sessions)
-    {
-    }
+    explicit TpceWorkload(int sf, int sessions = 100);
 
     std::string name() const override { return "TPC-E"; }
     int scaleFactor() const override { return sf_; }
@@ -68,6 +65,13 @@ class TpceWorkload : public OltpWorkload
     int sf_;
     int sessions_;
     uint64_t nextTradeId_ = 0;
+
+  private:
+    // Skewed key pickers every session shares: immutable, so one
+    // build per workload serves every session of every run.
+    const ZipfSampler acctZipf_;
+    const ZipfSampler secZipf_;
+    const ZipfSampler custZipf_;
 };
 
 } // namespace tpce

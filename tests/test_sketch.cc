@@ -412,6 +412,55 @@ TEST(ZipfPinning, CallSiteDrawSequencesAreStable)
                                      113, 208, 1594, 1104, 451}));
 }
 
+TEST(ZipfPinning, LargeTableDrawSequencesAreStable)
+{
+    // n > 10000 takes zeta()'s integral-bound branch. The sizes the
+    // Fig 2 sweeps reach: tpce sf=15000 accounts (75000), securities
+    // (10276) and customers (15000); asdb sf=6000 scaling (102000).
+    EXPECT_EQ(zipfDraws(75000, 0.5, 12),
+              (std::vector<uint64_t>{41552, 1303, 69611, 189, 23192, 12,
+                                     1956, 6626, 11245, 62216, 45898,
+                                     21719}));
+    EXPECT_EQ(zipfDraws(10276, 0.5, 12),
+              (std::vector<uint64_t>{5706, 186, 9540, 29, 3195, 2, 277,
+                                     922, 1557, 8530, 6300, 2993}));
+    EXPECT_EQ(zipfDraws(15000, 0.5, 12),
+              (std::vector<uint64_t>{8324, 269, 13925, 41, 4657, 3, 401,
+                                     1341, 2267, 12449, 9192, 4362}));
+    EXPECT_EQ(zipfDraws(102000, 0.6, 12),
+              (std::vector<uint64_t>{48941, 691, 92963, 70, 23731, 3,
+                                     1132, 5043, 9685, 80840, 55381,
+                                     21877}));
+}
+
+TEST(ZipfPinning, SharedSamplerGivesEachRngItsOwnSequence)
+{
+    // Workloads build one sampler and hand it to every session: the
+    // draws of one session must not depend on the others' draws.
+    constexpr int kRngs = 5;
+    constexpr int kDraws = 200;
+    const ZipfSampler shared(75000, 0.5);
+    std::vector<Rng> rngs;
+    for (int r = 0; r < kRngs; ++r)
+        rngs.emplace_back(uint64_t(r) << 20);
+    std::vector<std::vector<uint64_t>> got(kRngs);
+    Rng order(7);
+    for (int i = 0; i < kRngs * kDraws; ++i) {
+        int r = int(order.uniform(kRngs));
+        while (got[r].size() == size_t(kDraws))
+            r = (r + 1) % kRngs;
+        got[r].push_back(shared(rngs[r]));
+    }
+    for (int r = 0; r < kRngs; ++r) {
+        Rng own_rng(uint64_t(r) << 20);
+        const ZipfSampler own(75000, 0.5);
+        std::vector<uint64_t> want;
+        for (int i = 0; i < kDraws; ++i)
+            want.push_back(own(own_rng));
+        EXPECT_EQ(got[r], want) << "rng " << r;
+    }
+}
+
 // ------------------------------------------------- engine hub
 
 TEST(SketchHub, HotKeyDetectionFindsTheHeavyHitter)
@@ -425,9 +474,15 @@ TEST(SketchHub, HotKeyDetectionFindsTheHeavyHitter)
     Rng rng(3);
     for (int i = 0; i < 1000; ++i)
         hub.noteRowAccess(1, i % 10 == 0 ? 9 : 100 + rng.uniform(400));
-    EXPECT_TRUE(hub.isHotRow(1, 9));
-    EXPECT_FALSE(hub.isHotRow(1, 123456));
-    EXPECT_FALSE(hub.isHotRow(2, 9)); // other tables are cold
+    // A key is hot once the table has hotMinTotal accesses and the
+    // key's estimate is at least hotFraction of them.
+    const auto *rows = hub.rowTracker(1);
+    ASSERT_NE(rows, nullptr);
+    ASSERT_GE(rows->total(), cfg.hotMinTotal);
+    const double hot_floor = cfg.hotFraction * double(rows->total());
+    EXPECT_GE(double(rows->estimate(9)), hot_floor);
+    EXPECT_LT(double(rows->estimate(123456)), hot_floor);
+    EXPECT_EQ(hub.rowTracker(2), nullptr); // other tables are untracked
     EXPECT_GT(hub.hotHits(), 0u);
 }
 

@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
+#include <map>
+
+#include "core/random.h"
 #include "sim/event_loop.h"
 #include "sim/ssd_model.h"
 #include "storage/buffer_pool.h"
@@ -206,6 +210,277 @@ TEST_F(BufferPoolTest, FlushDirtyCleansWithoutEvicting)
     EXPECT_EQ(flushed, kPageSize);
     EXPECT_EQ(pool.dirtyBytes(), 0u);
     EXPECT_TRUE(pool.isResident(1));
+}
+
+/**
+ * Reference model of the pool's residency and dirty state, with the
+ * lazy writer as a full walk of the LRU list: each page in LRU order,
+ * stopping once `max_bytes` are written, skipping in-flight loads.
+ * BufferPool::flushDirty visits only the dirty pages and must clean
+ * exactly the pages this walk cleans.
+ */
+class LruWalkModel
+{
+  public:
+    explicit LruWalkModel(uint64_t capacity) : capacity_(capacity) {}
+
+    struct Page
+    {
+        uint64_t bytes = 0;
+        bool resident = false;
+        bool dirty = false;
+        bool loading = false;
+        std::list<PageId>::iterator lruPos;
+    };
+
+    /** How a fix() call found its page. */
+    enum class Fix { Hit, Join, Load };
+
+    void registerObject(PageId id, uint64_t bytes) { pages_[id].bytes = bytes; }
+
+    const Page &page(PageId id) const { return pages_.at(id); }
+
+    void
+    touch(PageId id)
+    {
+        Page &p = pages_.at(id);
+        if (p.resident) {
+            touchLru(id, p);
+            return;
+        }
+        makeRoom(p.bytes);
+        admit(id, p);
+    }
+
+    /** fix() up to its SSD read; the loader later calls fixLoaded. */
+    Fix
+    fixBegin(PageId id)
+    {
+        Page &p = pages_.at(id);
+        if (p.resident && !p.loading) {
+            touchLru(id, p);
+            return Fix::Hit;
+        }
+        if (p.loading)
+            return Fix::Join;
+        makeRoom(p.bytes);
+        p.loading = true;
+        admit(id, p);
+        return Fix::Load;
+    }
+
+    void
+    fixLoaded(PageId id)
+    {
+        Page &p = pages_.at(id);
+        p.loading = false;
+        touchLru(id, p);
+    }
+
+    void
+    markDirty(PageId id)
+    {
+        Page &p = pages_.at(id);
+        if (!p.dirty) {
+            p.dirty = true;
+            dirtyBytes_ += p.bytes;
+        }
+    }
+
+    void
+    resizeObject(PageId id, uint64_t bytes)
+    {
+        Page &p = pages_.at(id);
+        if (p.resident)
+            used_ = used_ + bytes - p.bytes;
+        if (p.resident && p.dirty)
+            dirtyBytes_ = dirtyBytes_ + bytes - p.bytes;
+        p.bytes = bytes;
+    }
+
+    uint64_t
+    flushDirty(uint64_t max_bytes)
+    {
+        uint64_t flushed = 0;
+        for (PageId id : lru_) {
+            if (flushed >= max_bytes)
+                break;
+            Page &p = pages_.at(id);
+            if (p.dirty && !p.loading) {
+                p.dirty = false;
+                dirtyBytes_ -= p.bytes;
+                flushed += p.bytes;
+            }
+        }
+        writebackBytes_ += flushed;
+        return flushed;
+    }
+
+    uint64_t dirtyBytes() const { return dirtyBytes_; }
+    uint64_t writebackBytes() const { return writebackBytes_; }
+
+  private:
+    void
+    touchLru(PageId id, Page &p)
+    {
+        lru_.erase(p.lruPos);
+        p.lruPos = lru_.insert(lru_.end(), id);
+    }
+
+    void
+    admit(PageId id, Page &p)
+    {
+        p.resident = true;
+        used_ += p.bytes;
+        p.lruPos = lru_.insert(lru_.end(), id);
+    }
+
+    void
+    makeRoom(uint64_t needed)
+    {
+        while (used_ + needed > capacity_ && !lru_.empty()) {
+            const PageId victim = lru_.front();
+            Page &v = pages_.at(victim);
+            lru_.pop_front();
+            if (v.loading) {
+                v.lruPos = lru_.insert(lru_.end(), victim);
+                continue;
+            }
+            v.resident = false;
+            used_ -= v.bytes;
+            if (v.dirty) {
+                v.dirty = false;
+                dirtyBytes_ -= v.bytes;
+                writebackBytes_ += v.bytes;
+            }
+        }
+    }
+
+    uint64_t capacity_;
+    uint64_t used_ = 0;
+    uint64_t dirtyBytes_ = 0;
+    uint64_t writebackBytes_ = 0;
+    std::map<PageId, Page> pages_;
+    std::list<PageId> lru_; // front = LRU, back = MRU
+};
+
+TEST(BufferPoolFlush, DirtyOnlyWalkMatchesFullLruWalk)
+{
+    // Page i is kBase + 2^(2i), or kBase + 2^(2i+1) while resized:
+    // every size is distinct and any sum of sizes names its pages
+    // (count above kBase, one bit per page below), so equal flush
+    // returns mean the same pages were flushed.
+    constexpr int kPages = 12;
+    constexpr uint64_t kBase = uint64_t(1) << 24;
+    auto size_of = [](int i, bool resized) {
+        return kBase + (uint64_t(1) << (2 * i + (resized ? 1 : 0)));
+    };
+    // Room for five pages: at most two in-flight loads always leave
+    // an evictable page, so makeRoom cannot spin on loading pages.
+    constexpr int kMaxLoads = 2;
+    const uint64_t capacity = 6 * kBase;
+
+    EventLoop loop;
+    SsdModel ssd(loop);
+    BufferPool pool(loop, ssd, capacity);
+    LruWalkModel ref(capacity);
+    bool resized[kPages] = {};
+    for (int i = 0; i < kPages; ++i) {
+        pool.registerObject(PageId(i), size_of(i, false));
+        ref.registerObject(PageId(i), size_of(i, false));
+    }
+
+    int loads = 0;
+    auto fixer = [&](PageId id) -> Task<void> {
+        const auto how = ref.fixBegin(id);
+        if (how == LruWalkModel::Fix::Load)
+            ++loads;
+        co_await pool.fix(id, nullptr);
+        // The loader resumes first, right after the pool marks the
+        // page loaded and moves it to the MRU end.
+        if (how == LruWalkModel::Fix::Load) {
+            ref.fixLoaded(id);
+            --loads;
+        }
+    };
+    auto pick_where = [&](Rng &rng, auto &&pred) -> int {
+        std::vector<int> ids;
+        for (int i = 0; i < kPages; ++i)
+            if (pred(ref.page(PageId(i))))
+                ids.push_back(i);
+        return ids.empty() ? -1 : ids[rng.uniform(ids.size())];
+    };
+
+    Rng rng(20261019);
+    int flushes = 0, partial_flushes = 0, loading_dirty_flushes = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const uint64_t op = rng.uniform(100);
+        uint64_t got = 0, want = 0;
+        if (op < 30) {
+            const auto id = PageId(rng.uniform(kPages));
+            pool.touch(id);
+            ref.touch(id);
+        } else if (op < 50) {
+            // Any resident page, dirty or not, loading or not.
+            const int i = pick_where(
+                rng, [](const auto &p) { return p.resident; });
+            if (i >= 0) {
+                pool.markDirty(PageId(i));
+                ref.markDirty(PageId(i));
+            }
+        } else if (op < 58) {
+            const int i = pick_where(rng, [](const auto &p) {
+                return p.resident && p.dirty;
+            });
+            if (i >= 0) {
+                resized[i] = !resized[i];
+                pool.resizeObject(PageId(i), size_of(i, resized[i]));
+                ref.resizeObject(PageId(i), size_of(i, resized[i]));
+            }
+        } else if (op < 73) {
+            const auto id = PageId(rng.uniform(kPages));
+            const auto &p = ref.page(id);
+            if (p.resident || loads < kMaxLoads) {
+                loop.spawn(fixer(id));
+                loop.runUntil(loop.now()); // start it now
+            }
+        } else if (op < 85) {
+            loop.runUntil(loop.now() +
+                          SimDuration(rng.uniform(milliseconds(10))));
+        } else {
+            const uint64_t dirty = ref.dirtyBytes();
+            uint64_t budget = dirty + 1 + rng.uniform(kBase);
+            const uint64_t kind = rng.uniform(4);
+            if (kind == 0)
+                budget = dirty;
+            else if (kind == 1)
+                budget = dirty ? rng.uniform(dirty) : 0;
+            else if (kind == 2)
+                budget = kBase * rng.uniform(3);
+            bool loading_dirty = false;
+            for (int i = 0; i < kPages; ++i)
+                loading_dirty |= ref.page(PageId(i)).dirty &&
+                                 ref.page(PageId(i)).loading;
+            got = pool.flushDirty(budget);
+            want = ref.flushDirty(budget);
+            ++flushes;
+            partial_flushes += budget < dirty && want > 0;
+            loading_dirty_flushes += loading_dirty;
+        }
+        for (int i = 0; i < kPages; ++i)
+            ASSERT_EQ(pool.isResident(PageId(i)),
+                      ref.page(PageId(i)).resident)
+                << "step " << step << " page " << i;
+        ASSERT_EQ(got, want) << "step " << step;
+        ASSERT_EQ(pool.dirtyBytes(), ref.dirtyBytes()) << "step " << step;
+        ASSERT_EQ(pool.writebackBytes(), ref.writebackBytes())
+            << "step " << step;
+    }
+    loop.run();
+    // The stream reached the cases the rewrite could get wrong.
+    EXPECT_GT(flushes, 1000);
+    EXPECT_GT(partial_flushes, 200);
+    EXPECT_GT(loading_dirty_flushes, 50);
 }
 
 TEST(RowStoreTest, PagesMapRowsAtFixedDensity)
