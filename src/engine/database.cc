@@ -24,8 +24,9 @@ Database::Table::insertRow(const std::vector<Value> &row,
     } else {
         r = dataOwned_->append(row);
     }
+    std::vector<PageId> touched;
     for (auto &[colname, tree] : indexes_) {
-        std::vector<PageId> touched;
+        touched.clear();
         tree->insert(data->column(colname).getInt(r), r,
                      dirtied ? &touched : nullptr);
         if (dirtied && !touched.empty())
@@ -139,14 +140,12 @@ Database::finishLoad()
         if (t.ncci_ && !t.ncci_->compressed().built())
             t.ncci_->build();
         // Bulk-build B-trees over loaded rows.
-        for (auto &[colname, tree] : t.indexes_) {
-            if (tree->entryCount() > 0)
-                continue;
-            const ColumnData &cd = t.data->column(colname);
-            for (RowId r = 0; r < t.data->rowCount(); ++r)
-                if (!t.data->isDeleted(r))
-                    tree->insert(cd.getInt(r), r);
-        }
+        const TableData &data = *t.data;
+        for (auto &[colname, tree] : t.indexes_)
+            if (tree->entryCount() == 0)
+                tree->load(data.column(colname), [&data](RowId r) {
+                    return !data.isDeleted(r);
+                });
     }
 }
 

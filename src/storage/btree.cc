@@ -5,6 +5,7 @@
 
 #include "core/calibration.h"
 #include "core/logging.h"
+#include "storage/column_data.h"
 
 namespace dbsens {
 
@@ -56,14 +57,13 @@ BTree::makeNode(bool leaf)
 }
 
 BTree::Node *
-BTree::findLeaf(int64_t key, RowId row, std::vector<PageId> *touched) const
+BTree::findLeaf(int64_t key, std::vector<PageId> *touched) const
 {
     // Leftmost descent: the first child whose separator is >= key may
     // still contain duplicates of `key` (splits copy the right node's
     // first key up as the separator, leaving equal keys on the left).
     // Readers therefore descend left of equal separators and walk the
     // leaf chain rightwards.
-    (void)row;
     Node *n = root_;
     while (!n->leaf) {
         if (touched)
@@ -77,10 +77,10 @@ BTree::findLeaf(int64_t key, RowId row, std::vector<PageId> *touched) const
     return n;
 }
 
-void
-BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
+BTree::Node *
+BTree::insertLeaf(int64_t key, std::vector<Node *> &path,
+                  std::vector<PageId> *touched) const
 {
-    std::vector<Node *> path;
     Node *n = root_;
     while (!n->leaf) {
         path.push_back(n);
@@ -92,6 +92,14 @@ BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
     }
     if (touched)
         touched->push_back(n->page);
+    return n;
+}
+
+void
+BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
+{
+    std::vector<Node *> path;
+    Node *n = insertLeaf(key, path, touched);
 
     // Position by (key, row).
     size_t pos = size_t(std::lower_bound(n->keys.begin(), n->keys.end(),
@@ -103,10 +111,14 @@ BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
     n->rows.insert(n->rows.begin() + long(pos), row);
     ++entries_;
 
-    if (n->keys.size() <= kLeafCap)
-        return;
+    if (n->keys.size() > kLeafCap)
+        splitLeaf(path, n, touched);
+}
 
-    // Split leaf.
+void
+BTree::splitLeaf(std::vector<Node *> &path, Node *n,
+                 std::vector<PageId> *touched)
+{
     Node *right = makeNode(true);
     const size_t half = n->keys.size() / 2;
     right->keys.assign(n->keys.begin() + long(half), n->keys.end());
@@ -118,6 +130,74 @@ BTree::insert(int64_t key, RowId row, std::vector<PageId> *touched)
     if (touched)
         touched->push_back(right->page);
     insertInner(path, n, right->keys.front(), right);
+}
+
+namespace {
+
+/**
+ * Put a leaf's entries in (key, row) order: fully, or with `nth` <
+ * size only as far as std::nth_element does (entry `nth` is the one a
+ * full sort puts there, smaller entries before it, larger after).
+ * Entries already in order are left as they are.
+ */
+void
+orderEntries(std::vector<int64_t> &keys, std::vector<RowId> &rows,
+             size_t nth)
+{
+    const size_t n = keys.size();
+    size_t i = 1;
+    while (i < n && (keys[i - 1] < keys[i] ||
+                     (keys[i - 1] == keys[i] && rows[i - 1] < rows[i])))
+        ++i;
+    if (i >= n)
+        return;
+    std::pair<int64_t, RowId> e[BTree::kLeafCap + 1] = {};
+    for (size_t j = 0; j < n; ++j)
+        e[j] = {keys[j], rows[j]};
+    if (nth < n)
+        std::nth_element(e, e + nth, e + n);
+    else
+        std::sort(e, e + n);
+    for (size_t j = 0; j < n; ++j) {
+        keys[j] = e[j].first;
+        rows[j] = e[j].second;
+    }
+}
+
+} // namespace
+
+void
+BTree::load(const ColumnData &keys, const std::function<bool(RowId)> &live)
+{
+    if (entries_ != 0 || !root_->leaf)
+        panic("btree: load into a non-empty tree");
+    // Replays insert() for the live rows in increasing RowId order
+    // (the loop below), except that a new entry is appended to its
+    // leaf instead of placed in order. The descent reads only the
+    // separators, and a split depends only on the set of entries in
+    // the leaf, so every split happens at the same entry with the same
+    // halves, and pages are allocated in the same order.
+    std::vector<Node *> path;
+    const auto rows = RowId(keys.size());
+    for (RowId r = 0; r < rows; ++r) {
+        if (!live(r))
+            continue;
+        const int64_t key = keys.getInt(r);
+        path.clear();
+        Node *n = insertLeaf(key, path, nullptr);
+        n->keys.push_back(key);
+        n->rows.push_back(r);
+        ++entries_;
+        if (n->keys.size() > kLeafCap) {
+            orderEntries(n->keys, n->rows, n->keys.size() / 2);
+            splitLeaf(path, n, nullptr);
+        }
+    }
+    Node *n = root_;
+    while (!n->leaf)
+        n = n->kids.front();
+    for (; n; n = n->next)
+        orderEntries(n->keys, n->rows, n->keys.size());
 }
 
 void
@@ -161,7 +241,7 @@ BTree::erase(int64_t key, RowId row)
 {
     // Duplicates may span leaves; walk the chain from the leftmost
     // candidate leaf until a key greater than `key` appears.
-    Node *n = findLeaf(key, row, nullptr);
+    Node *n = findLeaf(key, nullptr);
     while (n) {
         size_t pos = size_t(std::lower_bound(n->keys.begin(),
                                              n->keys.end(), key) -
@@ -184,7 +264,7 @@ BTree::erase(int64_t key, RowId row)
 RowId
 BTree::seek(int64_t key, std::vector<PageId> *touched) const
 {
-    Node *n = findLeaf(key, 0, touched);
+    Node *n = findLeaf(key, touched);
     while (n) {
         const auto it =
             std::lower_bound(n->keys.begin(), n->keys.end(), key);
@@ -220,7 +300,7 @@ BTree::scanRange(int64_t lo, int64_t hi,
 {
     if (lo > hi)
         return;
-    Node *n = findLeaf(lo, 0, touched);
+    Node *n = findLeaf(lo, touched);
     size_t pos = size_t(std::lower_bound(n->keys.begin(), n->keys.end(),
                                          lo) - n->keys.begin());
     while (n) {
@@ -369,6 +449,20 @@ BTree::validate(std::string *err) const
         return false;
     }
     return true;
+}
+
+void
+BTree::visitNodes(const std::function<void(const NodeView &)> &visit) const
+{
+    std::vector<const Node *> stack{root_};
+    while (!stack.empty()) {
+        const Node *n = stack.back();
+        stack.pop_back();
+        visit({n->page, n->leaf, n->keys, n->rows,
+               n->next ? n->next->page : kInvalidPage});
+        for (auto it = n->kids.rbegin(); it != n->kids.rend(); ++it)
+            stack.push_back(*it);
+    }
 }
 
 } // namespace dbsens

@@ -33,6 +33,8 @@
 
 namespace dbsens {
 
+class ColumnData;
+
 /** Allocate-and-register a page of `bytes`; returns its PageId. */
 using PageAllocator = std::function<PageId(uint64_t bytes)>;
 
@@ -59,6 +61,17 @@ class BTree
     /** Insert (key, row). Returns pages touched along the path. */
     void insert(int64_t key, RowId row,
                 std::vector<PageId> *touched = nullptr);
+
+    /**
+     * Build an empty tree over the rows of `keys` for which `live`
+     * holds: row r gets entry (keys.getInt(r), r). The result, page
+     * ids included, is the tree that insert() would build from the
+     * same rows in increasing RowId order, but a leaf's entries are
+     * only put in order when it splits or the load ends (DESIGN.md
+     * section 21). Aborts unless the tree is empty.
+     */
+    void load(const ColumnData &keys,
+              const std::function<bool(RowId)> &live);
 
     /** Remove one (key, row) entry; returns true if found. */
     bool erase(int64_t key, RowId row);
@@ -108,15 +121,46 @@ class BTree
      */
     bool validate(std::string *err) const;
 
+    /** Read-only view of one node (test support: layout comparison). */
+    struct NodeView
+    {
+        PageId page;
+        bool leaf;
+        const std::vector<int64_t> &keys;
+        /** Leaf payloads, parallel to `keys` (empty for inner nodes). */
+        const std::vector<RowId> &rows;
+        /** Page of the next leaf in the chain, or kInvalidPage. */
+        PageId next;
+    };
+
+    /**
+     * Visit every node depth-first, each parent before its children
+     * and children left to right, so equal visit sequences mean equal
+     * trees (an inner node with k keys has k + 1 children).
+     */
+    void visitNodes(
+        const std::function<void(const NodeView &)> &visit) const;
+
   private:
     struct Node;
 
     Node *makeNode(bool leaf);
     void destroy(Node *n);
 
-    /** Descend to the leaf that should contain (key, row). */
-    Node *findLeaf(int64_t key, RowId row,
-                   std::vector<PageId> *touched) const;
+    /** Leftmost leaf that may hold `key` (readers' descent). */
+    Node *findLeaf(int64_t key, std::vector<PageId> *touched) const;
+
+    /** Leaf a new entry with `key` goes to; `path` gets its parents. */
+    Node *insertLeaf(int64_t key, std::vector<Node *> &path,
+                     std::vector<PageId> *touched) const;
+
+    /**
+     * Split overfull leaf `n` in half: entries [0, half) must be its
+     * half smallest (key, row) entries and entry `half` the smallest
+     * of the rest, which becomes the right leaf's separator.
+     */
+    void splitLeaf(std::vector<Node *> &path, Node *n,
+                   std::vector<PageId> *touched);
 
     void insertInner(std::vector<Node *> &path, Node *left, int64_t sep,
                      Node *right);

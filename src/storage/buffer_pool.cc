@@ -139,17 +139,21 @@ uint64_t
 BufferPool::makeRoom(uint64_t needed)
 {
     uint64_t writeback = 0;
-    while (used_ + needed > capacity_ && !lru_.empty()) {
+    // In-flight loads cannot be evicted; rotate past them. Once every
+    // object left has been rotated past without an eviction, all are
+    // loading: stop and over-commit rather than spin.
+    size_t rotated = 0;
+    while (used_ + needed > capacity_ && rotated < lru_.size()) {
         const PageId victim = lru_.front();
         Object &vo = objects_.at(victim);
         if (vo.loading) {
-            // In-flight loads sit at the LRU head only transiently;
-            // rotate past them.
             lru_.pop_front();
             vo.lruPos = lru_.insert(lru_.end(), victim);
             vo.lruStamp = ++lruClock_;
+            ++rotated;
             continue;
         }
+        rotated = 0;
         lru_.pop_front();
         vo.resident = false;
         used_ -= vo.bytes;

@@ -166,8 +166,9 @@ class BufferPool
     /** Drop a dirty object from dirty_ (flushed or evicted). */
     void eraseDirty(Object &o);
 
-    /** Evict LRU objects until `needed` bytes fit. Returns writeback
-     * bytes generated by evicting dirty objects. */
+    /** Evict LRU objects until `needed` bytes fit, or until only
+     * in-flight loads are left (the pool then over-commits). Returns
+     * writeback bytes generated by evicting dirty objects. */
     uint64_t makeRoom(uint64_t needed);
 
     void admit(PageId id, Object &o);

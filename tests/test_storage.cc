@@ -483,6 +483,31 @@ TEST(BufferPoolFlush, DirtyOnlyWalkMatchesFullLruWalk)
     EXPECT_GT(loading_dirty_flushes, 50);
 }
 
+TEST(BufferPoolMakeRoom, MissesOnAPoolFullOfLoadsOverCommit)
+{
+    // Room for two pages, four concurrent misses: the third and fourth
+    // find only in-flight loads to evict. They over-commit instead of
+    // waiting for room, and the next miss after the loads finish
+    // evicts back down to capacity.
+    EventLoop loop;
+    SsdModel ssd(loop);
+    BufferPool pool(loop, ssd, 2 * kPageSize);
+    for (PageId id = 0; id < 5; ++id)
+        pool.registerObject(id, kPageSize);
+    for (PageId id = 0; id < 4; ++id)
+        loop.spawn(pool.fix(id, nullptr));
+    loop.run();
+    for (PageId id = 0; id < 4; ++id)
+        EXPECT_TRUE(pool.isResident(id)) << "page " << id;
+    EXPECT_EQ(pool.usedBytes(), 4 * kPageSize);
+    EXPECT_EQ(pool.missCount(), 4u);
+    loop.spawn(pool.fix(4, nullptr));
+    loop.run();
+    EXPECT_EQ(pool.usedBytes(), 2 * kPageSize);
+    EXPECT_TRUE(pool.isResident(3));
+    EXPECT_TRUE(pool.isResident(4));
+}
+
 TEST(RowStoreTest, PagesMapRowsAtFixedDensity)
 {
     TableData data(testSchema()); // width 8+8+4 = 20 (+slot)
